@@ -167,11 +167,20 @@ func ownerIndex(t *testing.T, gw *Gateway, urls []string, path string, body []by
 }
 
 // bodyOwnedBy searches distinct valid programs until one's primary is
-// the wanted node.
-func bodyOwnedBy(t *testing.T, gw *Gateway, urls []string, path string, want int) []byte {
+// the wanted node. The search always starts from the same program, so a
+// caller that needs a body different from ones it already holds (one
+// parked in flight would single-flight-join an identical request) passes
+// them as avoid.
+func bodyOwnedBy(t *testing.T, gw *Gateway, urls []string, path string, want int, avoid ...[]byte) []byte {
 	t.Helper()
+search:
 	for i := 0; i < 512; i++ {
 		body := optBody(t, strings.ReplaceAll(diamond, "func f", fmt.Sprintf("func p%d", i)))
+		for _, a := range avoid {
+			if bytes.Equal(body, a) {
+				continue search
+			}
+		}
 		if ownerIndex(t, gw, urls, path, body) == want {
 			return body
 		}
@@ -265,9 +274,17 @@ func TestGatewayAffinity(t *testing.T) {
 func TestGatewaySingleFlight(t *testing.T) {
 	gate := make(chan struct{})
 	gw, nodes, gts := newScriptedFleet(t, 1, Config{}, func(i int, w http.ResponseWriter, r *http.Request) {
-		<-gate
+		select {
+		case <-gate:
+		case <-r.Context().Done():
+		}
 		writeGateJSON(w, http.StatusOK, map[string]any{"served_by": i, "nonce": "leader"})
 	})
+	// Registered after the fleet, so the LIFO cleanups open the gate
+	// before the servers close: a failure below cannot leave Close
+	// waiting on the parked handler.
+	openGate := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(openGate)
 
 	const callers = 8
 	body := optBody(t, diamond)
@@ -286,7 +303,7 @@ func TestGatewaySingleFlight(t *testing.T) {
 	waitFor(t, func() bool {
 		return nodes[0].hits.Load() == 1 && gw.dedupeJoins.Load() == callers-1
 	})
-	close(gate)
+	openGate()
 	wg.Wait()
 
 	if hits := nodes[0].hits.Load(); hits != 1 {

@@ -96,12 +96,6 @@ func TestReloadMinimalMovement(t *testing.T) {
 // draining until its last request finishes. Nothing hangs.
 func TestReloadDrainsInflight(t *testing.T) {
 	release := make(chan struct{})
-	// Any failure before the explicit release must still unblock the
-	// scripted backend, or cleanup hangs in httptest.Server.Close behind
-	// the parked handler until the whole package's test timeout panics —
-	// turning a fast failure into ten lost minutes and no other results.
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	t.Cleanup(releaseOnce)
 	var entered atomic.Int64
 	gw, nodes, gts := newScriptedFleet(t, 3, Config{Timeout: 20 * time.Second, AttemptTimeout: 20 * time.Second},
 		func(i int, w http.ResponseWriter, r *http.Request) {
@@ -114,6 +108,13 @@ func TestReloadDrainsInflight(t *testing.T) {
 			}
 			writeGateJSON(w, http.StatusOK, map[string]any{"served_by": i})
 		})
+	// Any failure before the explicit release must still unblock the
+	// scripted backend, or cleanup hangs in httptest.Server.Close behind
+	// the parked handler until the whole package's test timeout panics.
+	// Registered after newScriptedFleet, so the LIFO cleanups release the
+	// handler before the servers close.
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce)
 	urls := make([]string, len(nodes))
 	for i, n := range nodes {
 		urls[i] = n.ts.URL
@@ -151,8 +152,8 @@ func TestReloadDrainsInflight(t *testing.T) {
 
 	// New traffic for the same content must not wait on the drain: the
 	// ring now owns the key elsewhere. (A different body dodges the
-	// single-flight join with the blocked request.)
-	probe := bodyOwnedBy(t, gw, urls[1:], "/optimize", 0) // owner among survivors
+	// single-flight join with the blocked request, so slow is avoided.)
+	probe := bodyOwnedBy(t, gw, urls[1:], "/optimize", 0, slow) // owner among survivors
 	code, _, raw := postRaw(t, gts.URL, "/optimize", probe)
 	if code != http.StatusOK {
 		t.Fatalf("request during drain = %d: %s", code, raw)

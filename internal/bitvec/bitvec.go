@@ -6,7 +6,7 @@
 // programming error and panics. Operations that write a result take the
 // receiver as the destination so that solvers can update state in place
 // without allocating, and they report whether the destination changed,
-// which is what iterative fixpoint solvers need to drive their worklists.
+// which is what iterative fixpoint solvers need to detect convergence.
 package bitvec
 
 import (

@@ -1,60 +1,25 @@
-// Package conc provides the two small concurrency shapes the optimizer
-// needs — a minimal error-collecting goroutine group and a bounded
-// parallel-for — with stdlib-only code. The module deliberately avoids
-// external dependencies, so this is the local stand-in for
-// golang.org/x/sync/errgroup.
+// Package conc provides the bounded parallel-for the server's batch and
+// job dispatchers need, with stdlib-only code. The module deliberately
+// avoids external dependencies, so this is the local stand-in for
+// golang.org/x/sync/errgroup with a limit.
 //
-// Neither helper cancels work on error: every submitted task runs to
-// completion. That is a deliberate contract, not a limitation. The
-// solvers and the batch dispatcher thread context cancellation through
-// the work itself (dataflow.Problem.Ctx, per-item request contexts), and
-// the lcmd accounting invariant — every admitted item lands in exactly
-// one outcome bucket — requires that a failure in one item never stops
-// its siblings from being dispatched and accounted.
+// Parallel never cancels work on error: every index runs to completion.
+// That is a deliberate contract, not a limitation. The solvers and the
+// batch dispatcher thread context cancellation through the work itself
+// (dataflow.Problem.Ctx, per-item request contexts), and the lcmd
+// accounting invariant — every admitted item lands in exactly one outcome
+// bucket — requires that a failure in one item never stops its siblings
+// from being dispatched and accounted.
 package conc
 
 import "sync"
 
-// Group runs functions on their own goroutines and collects the first
-// error. The zero value is ready to use. Unlike errgroup, Wait never
-// cancels the remaining functions; they always run to completion.
-type Group struct {
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	first error
-}
-
-// Go runs fn on a new goroutine. Errors are collected; the first one
-// (in completion order) is returned by Wait.
-func (g *Group) Go(fn func() error) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		if err := fn(); err != nil {
-			g.mu.Lock()
-			if g.first == nil {
-				g.first = err
-			}
-			g.mu.Unlock()
-		}
-	}()
-}
-
-// Wait blocks until every function started with Go has returned and
-// reports the first error, or nil when all succeeded.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.first
-}
-
 // Parallel calls fn(i) for every i in [0, n) using at most limit
-// concurrent goroutines (limit <= 1 runs sequentially on the caller's
-// goroutine count of one lane). Every index is visited exactly once even
-// when earlier calls fail; the first error is returned after all calls
-// complete. Indices are claimed in order, so with limit 1 the calls are
-// exactly fn(0), fn(1), …, fn(n-1).
+// concurrent goroutines (limit <= 0 means one goroutine per index). Every
+// index is visited exactly once even when earlier calls fail; the first
+// error (in completion order) is returned after all calls complete.
+// Indices are claimed in order, so with limit 1 the calls are exactly
+// fn(0), fn(1), …, fn(n-1).
 func Parallel(n, limit int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -63,9 +28,10 @@ func Parallel(n, limit int, fn func(i int) error) error {
 		limit = n
 	}
 	var (
-		g    Group
-		mu   sync.Mutex
-		next int
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		next  int
+		first error
 	)
 	claim := func() int {
 		mu.Lock()
@@ -75,18 +41,20 @@ func Parallel(n, limit int, fn func(i int) error) error {
 		return i
 	}
 	for lane := 0; lane < limit; lane++ {
-		g.Go(func() error {
-			var firstErr error
-			for {
-				i := claim()
-				if i >= n {
-					return firstErr
-				}
-				if err := fn(i); err != nil && firstErr == nil {
-					firstErr = err
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := claim(); i < n; i = claim() {
+				if err := fn(i); err != nil {
+					mu.Lock()
+					if first == nil {
+						first = err
+					}
+					mu.Unlock()
 				}
 			}
-		})
+		}()
 	}
-	return g.Wait()
+	wg.Wait()
+	return first
 }

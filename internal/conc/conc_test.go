@@ -6,28 +6,6 @@ import (
 	"testing"
 )
 
-func TestGroupCollectsFirstError(t *testing.T) {
-	var g Group
-	boom := errors.New("boom")
-	var ran atomic.Int64
-	g.Go(func() error { ran.Add(1); return nil })
-	g.Go(func() error { ran.Add(1); return boom })
-	g.Go(func() error { ran.Add(1); return nil })
-	if err := g.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait = %v, want %v", err, boom)
-	}
-	if ran.Load() != 3 {
-		t.Fatalf("ran %d functions, want 3", ran.Load())
-	}
-}
-
-func TestGroupZeroValueNoWork(t *testing.T) {
-	var g Group
-	if err := g.Wait(); err != nil {
-		t.Fatalf("empty group Wait = %v", err)
-	}
-}
-
 // TestParallelVisitsEveryIndexOnce is the contract the lcmd batch
 // dispatcher depends on: even with failures and limits, each index runs
 // exactly once, so admission accounting stays item-exact.

@@ -8,14 +8,10 @@
 // the paper eliminates (experiment T4 measures the difference using the
 // Stats this package reports).
 //
-// Three solver strategies compute the same unique fixpoint (DESIGN.md §11
-// gives the argument): Serial round-robin sweeps (the reference), Sliced
-// word-parallel sweeps (the expression universe partitioned by 64-bit
-// word, one goroutine per disjoint word-column slice of the shared state),
-// and Sparse masked worklists (only unstable words re-propagate, through
-// an intrusive zero-allocation queue). The default Auto strategy picks by
-// problem shape; the randomized equivalence suite asserts bit-identical
-// results across all three.
+// There is one solver, Solve: plain round-robin sweeps in (reverse)
+// postorder over the matrices' flat word backing, the paper's own model of
+// unidirectional bit-vector solving. DESIGN.md §11 gives the argument that
+// the fixpoint it reaches is unique.
 package dataflow
 
 import (
@@ -145,78 +141,6 @@ const (
 	BoundaryFull
 )
 
-// Strategy selects how Solve reaches the fixpoint. Every strategy computes
-// the identical solution; the choice is purely a performance trade-off.
-type Strategy int
-
-const (
-	// Auto picks a strategy from the problem shape: Sliced for wide
-	// universes on non-trivial graphs, Sparse for large narrow graphs,
-	// Serial otherwise.
-	Auto Strategy = iota
-	// Serial is the reference round-robin sweep in (reverse) postorder.
-	Serial
-	// Sliced partitions the expression universe by 64-bit word and solves
-	// the disjoint word-column slices concurrently.
-	Sliced
-	// Sparse uses the masked worklist of SolveWorklist: only words that
-	// actually changed re-propagate to dependents.
-	Sparse
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "auto"
-	case Serial:
-		return "serial"
-	case Sliced:
-		return "sliced"
-	case Sparse:
-		return "sparse"
-	}
-	return fmt.Sprintf("strategy(%d)", int(s))
-}
-
-// Auto-dispatch thresholds. Word-slicing pays only when each slice carries
-// enough words across enough nodes to amortize goroutine startup; the
-// sparse worklist pays only when the graph is large enough that full
-// re-sweeps dominate its queue overhead.
-const (
-	slicedMinWords = 4   // ≥ 256 expressions before slicing engages
-	slicedMinNodes = 128 // and a graph big enough to sweep repeatedly
-	sparseMinNodes = 512 // narrow but deep graphs go sparse
-)
-
-// pick resolves Auto against the problem shape.
-func (p *Problem) pick(g Graph) Strategy {
-	if p.Strategy != Auto {
-		return p.Strategy
-	}
-	if numWordsFor(p.Width) >= slicedMinWords && g.NumNodes() >= slicedMinNodes {
-		return Sliced
-	}
-	if g.NumNodes() >= sparseMinNodes {
-		return Sparse
-	}
-	return Serial
-}
-
-// numWordsFor returns the number of 64-bit words backing a vector of the
-// given bit width.
-func numWordsFor(width int) int { return (width + 63) >> 6 }
-
-// normVectorOps converts a word-op count into whole-vector-op units so
-// Stats.VectorOps stays the comparable currency of experiment T4 across
-// strategies that touch partial vectors.
-func normVectorOps(wordOps, numWords int) int {
-	if numWords == 0 {
-		return 0
-	}
-	return (wordOps + numWords - 1) / numWords
-}
-
 // Problem is a gen/kill bit-vector data-flow problem. With
 // flow-side = IN for forward problems applied as
 //
@@ -255,14 +179,9 @@ type Problem struct {
 	// the Result matrices and releases back to the arena whichever side
 	// it does not keep.
 	Scratch *Scratch
-	// Strategy selects the solver; the zero value Auto picks by problem
-	// shape. Every strategy reaches the identical fixpoint (DESIGN.md
-	// §11); tests force specific strategies to assert exactly that.
-	Strategy Strategy
 }
 
-// check validates the problem's shape against the graph. It is the shared
-// precondition of both solvers.
+// check validates the problem's shape against the graph.
 func (p *Problem) check(g Graph) error {
 	n := g.NumNodes()
 	if p.Gen == nil || p.Kill == nil {
@@ -312,31 +231,13 @@ func (s Stats) String() string {
 // backward ones, computed over reachable nodes; nodes unreachable in the
 // iteration direction keep their initial value.
 //
-// Solve dispatches on p.Strategy (Auto resolves by problem shape); every
-// strategy computes the identical solution, so callers never observe the
-// choice except through Stats and wall time.
-//
 // Solve fails with a descriptive error when the gen/kill matrices do not
 // match the graph and width, with a FuelError when p.Fuel is positive and
 // exhausted before the fixed point, and with a CancelError when p.Ctx is
 // done before the fixed point.
-func Solve(g Graph, p *Problem) (*Result, error) {
-	if err := p.check(g); err != nil {
-		return nil, err
-	}
-	switch p.pick(g) {
-	case Sliced:
-		return solveSliced(g, p)
-	case Sparse:
-		return solveSparse(g, p)
-	}
-	return solveSerial(g, p)
-}
-
-// solveSerial is the reference solver: round-robin sweeps over the whole
-// vector of every node until a sweep changes nothing.
 //
-// The sweep works on the matrices' flat word backing rather than per-row
+// Each sweep covers the whole vector of every node, until a sweep changes
+// nothing. It works on the matrices' flat word backing rather than per-row
 // Vector views: most functions have a universe of at most a word or two,
 // so a Row header, a bounds check, and a method dispatch per node visit
 // would cost more than the word math itself. The meet-side adjacency is
@@ -344,7 +245,10 @@ func Solve(g Graph, p *Problem) (*Result, error) {
 // edge per pass become one flat index load. None of this changes what is
 // computed; the op accounting below mirrors the vector formulation
 // exactly, so Stats stays the comparable currency of experiment T4.
-func solveSerial(g Graph, p *Problem) (*Result, error) {
+func Solve(g Graph, p *Problem) (*Result, error) {
+	if err := p.check(g); err != nil {
+		return nil, err
+	}
 	n := g.NumNodes()
 	var in, out *bitvec.Matrix
 	if p.Scratch != nil {

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -30,7 +29,7 @@ func randGraph(rng *rand.Rand, n int) *sliceGraph {
 func randMatrix(rng *rand.Rand, rows, cols int) *bitvec.Matrix {
 	m := bitvec.NewMatrix(rows, cols)
 	for i := 0; i < rows; i++ {
-		// Sparse-ish rows: set ~1/8 of the bits.
+		// Thin rows: set ~1/8 of the bits.
 		for b := 0; b < cols; b += 1 + rng.Intn(15) {
 			m.Set(i, b)
 		}
@@ -38,15 +37,84 @@ func randMatrix(rng *rand.Rand, rows, cols int) *bitvec.Matrix {
 	return m
 }
 
-// TestSolverEquivalence is the randomized harness the correctness of the
-// sliced and sparse strategies rests on: for random graphs, random
-// gen/kill sets, every direction × meet × boundary combination, and
-// widths spanning one word to past the tail bucket, the three solvers
-// must produce bit-identical In and Out matrices. Run under -race in CI,
-// it also proves the sliced solver's disjoint-word-column claim.
+// refSolve is the test-only reference solver: the per-row bitvec.Vector
+// round-robin formulation Solve's flat-word sweep was rewritten from. It
+// meets with CopyFrom/And/Or, transfers with OrAndNotOf, visits nodes in
+// iterationOrder, and counts one vector op per meet source, one for the
+// meet copy and three for the fused transfer — the T4 accounting Solve
+// must reproduce exactly. Fuel, Ctx and Scratch are ignored.
+func refSolve(g Graph, p *Problem) *Result {
+	n := g.NumNodes()
+	res := &Result{In: bitvec.NewMatrix(n, p.Width), Out: bitvec.NewMatrix(n, p.Width)}
+	res.Stats.Name = p.Name
+	meetIn := bitvec.New(p.Width)
+	if p.Meet == Must {
+		for i := 0; i < n; i++ {
+			if p.Dir == Forward {
+				res.Out.Row(i).SetAll()
+			} else {
+				res.In.Row(i).SetAll()
+			}
+		}
+	}
+	order := iterationOrder(g, p.Dir)
+	for {
+		res.Stats.Passes++
+		changed := false
+		for _, node := range order {
+			res.Stats.NodeVisits++
+			flowIn, flowOut := res.In.Row(node), res.Out.Row(node)
+			degree := g.NumPreds(node)
+			if p.Dir == Backward {
+				flowIn, flowOut = flowOut, flowIn
+				degree = g.NumSuccs(node)
+			}
+			if degree == 0 {
+				if p.Boundary == BoundaryFull {
+					meetIn.SetAll()
+				} else {
+					meetIn.ClearAll()
+				}
+			}
+			for i := 0; i < degree; i++ {
+				var src *bitvec.Vector
+				if p.Dir == Forward {
+					src = res.Out.Row(g.Pred(node, i))
+				} else {
+					src = res.In.Row(g.Succ(node, i))
+				}
+				switch {
+				case i == 0:
+					meetIn.CopyFrom(src)
+				case p.Meet == Must:
+					meetIn.And(src)
+				default:
+					meetIn.Or(src)
+				}
+				res.Stats.VectorOps++
+			}
+			if flowIn.CopyFrom(meetIn) {
+				changed = true
+			}
+			if flowOut.OrAndNotOf(p.Gen.Row(node), flowIn, p.Kill.Row(node)) {
+				changed = true
+			}
+			res.Stats.VectorOps += 4
+		}
+		if !changed {
+			return res
+		}
+	}
+}
+
+// TestSolverEquivalence is the randomized net under Solve: for random
+// graphs, random gen/kill sets, every direction × meet × boundary
+// combination, and widths spanning one word to many, Solve — fresh and
+// over a shared scratch arena — must produce bit-identical In and Out
+// matrices and identical Stats to the per-row reference solver.
 func TestSolverEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	widths := []int{1, 63, 64, 65, 300, 4200} // 4200 bits = 66 words: tail bucket
+	widths := []int{1, 63, 64, 65, 300, 4200}
 	if testing.Short() {
 		widths = []int{1, 65, 300}
 	}
@@ -61,149 +129,31 @@ func TestSolverEquivalence(t *testing.T) {
 				for _, meet := range []Meet{Must, May} {
 					for _, bnd := range []Boundary{BoundaryEmpty, BoundaryFull} {
 						name := fmt.Sprintf("w%d/n%d/%v/%v/b%d", width, n, dir, meet, bnd)
-						base := Problem{
+						p := Problem{
 							Name: name, Dir: dir, Meet: meet, Width: width,
 							Gen: gen, Kill: kill, Boundary: bnd,
 						}
-						pSerial := base
-						pSerial.Strategy = Serial
-						ref, err := Solve(g, &pSerial)
-						if err != nil {
-							t.Fatalf("%s serial: %v", name, err)
-						}
-						for _, strat := range []Strategy{Sliced, Sparse} {
-							// With and without a shared scratch arena.
-							for _, scratch := range []*Scratch{nil, sc} {
-								p := base
-								p.Strategy = strat
-								p.Scratch = scratch
-								got, err := Solve(g, &p)
-								if err != nil {
-									t.Fatalf("%s %v: %v", name, strat, err)
-								}
-								if !got.In.Equal(ref.In) || !got.Out.Equal(ref.Out) {
-									t.Fatalf("%s: %v result differs from serial reference", name, strat)
-								}
-								if scratch != nil {
-									scratch.Release(got.In, got.Out)
-								}
+						ref := refSolve(g, &p)
+						// With and without a shared scratch arena.
+						for _, scratch := range []*Scratch{nil, sc} {
+							p.Scratch = scratch
+							got, err := Solve(g, &p)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if !got.In.Equal(ref.In) || !got.Out.Equal(ref.Out) {
+								t.Fatalf("%s (scratch=%v): result differs from the reference", name, scratch != nil)
+							}
+							if got.Stats != ref.Stats {
+								t.Fatalf("%s (scratch=%v): stats %+v, reference %+v", name, scratch != nil, got.Stats, ref.Stats)
+							}
+							if scratch != nil {
+								scratch.Release(got.In, got.Out)
 							}
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestSolverEquivalenceAuto pins the dispatcher: whatever Auto picks must
-// match the serial reference on shapes that cross the dispatch thresholds.
-func TestSolverEquivalenceAuto(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	shapes := []struct{ n, width int }{
-		{10, 40},                    // serial
-		{slicedMinNodes + 10, 300},  // sliced
-		{sparseMinNodes + 100, 40},  // sparse
-		{sparseMinNodes + 100, 300}, // sliced (wide wins)
-	}
-	for _, sh := range shapes {
-		g := randGraph(rng, sh.n)
-		gen := randMatrix(rng, sh.n, sh.width)
-		kill := randMatrix(rng, sh.n, sh.width)
-		base := Problem{
-			Name: "auto", Dir: Backward, Meet: Must, Width: sh.width,
-			Gen: gen, Kill: kill, Boundary: BoundaryEmpty,
-		}
-		pSerial := base
-		pSerial.Strategy = Serial
-		ref, err := Solve(g, &pSerial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pAuto := base
-		got, err := Solve(g, &pAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.In.Equal(ref.In) || !got.Out.Equal(ref.Out) {
-			t.Fatalf("n=%d width=%d: auto (%v) differs from serial", sh.n, sh.width, base.pick(g))
-		}
-	}
-}
-
-// TestSparseTelemetryCounts verifies the sparse solver reports skipped
-// words once the fixpoint localizes: on a long chain with one generating
-// node, later visits must cover far less than the whole vector.
-func TestSparseTelemetryCounts(t *testing.T) {
-	before := Telemetry()
-	n, width := 600, 1 // narrow + deep: Auto goes sparse
-	var edges [][2]int
-	for i := 0; i+1 < n; i++ {
-		edges = append(edges, [2]int{i, i + 1})
-	}
-	g := newSliceGraph(n, edges)
-	gen := bitvec.NewMatrix(n, width)
-	kill := bitvec.NewMatrix(n, width)
-	gen.Set(0, 0)
-	p := &Problem{Name: "chain", Dir: Forward, Meet: Must, Width: width, Gen: gen, Kill: kill}
-	if _, err := Solve(g, p); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.pick(g); got != Sparse {
-		t.Fatalf("auto picked %v, want sparse", got)
-	}
-	// Width 1 = 1 word: nothing skippable. Use a wide forced-sparse solve
-	// over a cyclic graph (revisits carry partial masks) to observe skips.
-	rng := rand.New(rand.NewSource(3))
-	widew := 300
-	gw := randGraph(rng, n)
-	genW := randMatrix(rng, n, widew)
-	killW := randMatrix(rng, n, widew)
-	pw := &Problem{Name: "wide", Dir: Forward, Meet: Must, Width: widew, Gen: genW, Kill: killW, Strategy: Sparse}
-	if _, err := Solve(gw, pw); err != nil {
-		t.Fatal(err)
-	}
-	after := Telemetry()
-	if after.SparseSkips <= before.SparseSkips {
-		t.Fatalf("sparse skips did not advance: %d -> %d", before.SparseSkips, after.SparseSkips)
-	}
-}
-
-// TestSlicedTelemetryCounts verifies a wide solve advances the parallel
-// slice counter.
-func TestSlicedTelemetryCounts(t *testing.T) {
-	before := Telemetry()
-	rng := rand.New(rand.NewSource(9))
-	n, width := slicedMinNodes+20, 700
-	g := randGraph(rng, n)
-	p := &Problem{
-		Name: "wide", Dir: Forward, Meet: Must, Width: width,
-		Gen: randMatrix(rng, n, width), Kill: randMatrix(rng, n, width),
-	}
-	if got := p.pick(g); got != Sliced {
-		t.Fatalf("auto picked %v, want sliced", got)
-	}
-	if _, err := Solve(g, p); err != nil {
-		t.Fatal(err)
-	}
-	after := Telemetry()
-	if after.ParallelSlices <= before.ParallelSlices {
-		t.Fatalf("parallel slices did not advance: %d -> %d", before.ParallelSlices, after.ParallelSlices)
-	}
-}
-
-// TestSlicedErrorPaths checks fuel exhaustion and cancellation surface
-// from the sliced solver the same way they do from the serial one.
-func TestSlicedErrorPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n, width := 50, 300
-	g := randGraph(rng, n)
-	p := &Problem{
-		Name: "fuel", Dir: Forward, Meet: Must, Width: width,
-		Gen: randMatrix(rng, n, width), Kill: randMatrix(rng, n, width),
-		Fuel: 3, Strategy: Sliced,
-	}
-	if _, err := Solve(g, p); !errors.Is(err, ErrFuelExhausted) {
-		t.Fatalf("expected fuel error, got %v", err)
 	}
 }

@@ -18,9 +18,8 @@ import (
 // pooled matrix or vector is zeroed before reuse, which is the same state
 // a fresh allocation starts in. See DESIGN.md "Shared analysis scratch".
 //
-// Scratch is safe for concurrent use, so independent problems over the
-// same graph (DSAFE and USAFE) can share one arena while solving in
-// parallel. The zero value is not ready; use NewScratch.
+// Scratch is safe for concurrent use, so solves running in parallel can
+// share one arena. The zero value is not ready; use NewScratch.
 type Scratch struct {
 	mu     sync.Mutex
 	orders map[orderKey][]int
@@ -172,8 +171,7 @@ func (s *Scratch) ReleaseVector(vs ...*bitvec.Vector) {
 }
 
 // Ints returns an int32 slice of length n from the pool, contents
-// unspecified. The solvers use it for flattened adjacency and the sparse
-// worklist for its intrusive index ring.
+// unspecified. Solve uses it for the flattened meet-side adjacency.
 func (s *Scratch) Ints(n int) []int32 {
 	s.mu.Lock()
 	best := -1
@@ -209,9 +207,8 @@ func (s *Scratch) ReleaseInts(vs ...[]int32) {
 	}
 }
 
-// Words returns a zeroed uint64 slice of length n from the pool. The
-// sparse worklist uses it for its membership bitset and pending-word
-// masks, both of which rely on a zeroed start.
+// Words returns a zeroed uint64 slice of length n from the pool. Solve
+// uses it for its meet vector.
 func (s *Scratch) Words(n int) []uint64 {
 	s.mu.Lock()
 	best := -1
@@ -284,23 +281,4 @@ func (p *Problem) order(g Graph) []int {
 		return p.Scratch.Order(g, p.Dir)
 	}
 	return iterationOrder(g, p.Dir)
-}
-
-// state allocates the solver's working state, drawing from the scratch
-// arena when available.
-func (p *Problem) state(n int) (in, out *bitvec.Matrix, meet *bitvec.Vector) {
-	if p.Scratch != nil {
-		return p.Scratch.Matrix(n, p.Width), p.Scratch.Matrix(n, p.Width), p.Scratch.Vector(p.Width)
-	}
-	return bitvec.NewMatrix(n, p.Width), bitvec.NewMatrix(n, p.Width), bitvec.New(p.Width)
-}
-
-// releaseState returns failed-solve state to the arena so error paths
-// (fuel, cancellation) do not leak pooled storage.
-func (p *Problem) releaseState(in, out *bitvec.Matrix, meet *bitvec.Vector) {
-	if p.Scratch == nil {
-		return
-	}
-	p.Scratch.Release(in, out)
-	p.Scratch.ReleaseVector(meet)
 }

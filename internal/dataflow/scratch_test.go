@@ -3,10 +3,10 @@ package dataflow
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"lazycm/internal/bitvec"
-	"lazycm/internal/conc"
 )
 
 // scratchGraph is a small diamond with a back edge, enough to need a
@@ -32,37 +32,32 @@ func scratchProblem(n, w int, sc *Scratch) *Problem {
 
 // TestScratchSolutionIdentical: the arena changes where storage comes
 // from, never what is computed — solution and stats match the fresh
-// allocation path exactly, for both solvers, and repeatedly so reused
-// (dirty) storage is proven to be re-zeroed.
+// allocation path exactly, and repeatedly so reused (dirty) storage is
+// proven to be re-zeroed.
 func TestScratchSolutionIdentical(t *testing.T) {
 	g := scratchGraph()
 	const w = 70 // force a partial last word
 	sc := NewScratch()
-	for _, solve := range []struct {
-		name string
-		fn   func(Graph, *Problem) (*Result, error)
-	}{{"Solve", Solve}, {"SolveWorklist", SolveWorklist}} {
-		fresh, err := solve.fn(g, scratchProblem(g.NumNodes(), w, nil))
+	fresh, err := Solve(g, scratchProblem(g.NumNodes(), w, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		got, err := Solve(g, scratchProblem(g.NumNodes(), w, sc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for round := 0; round < 3; round++ {
-			got, err := solve.fn(g, scratchProblem(g.NumNodes(), w, sc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.In.Equal(fresh.In) || !got.Out.Equal(fresh.Out) {
-				t.Fatalf("%s round %d: scratch solution differs from fresh", solve.name, round)
-			}
-			if got.Stats != fresh.Stats {
-				t.Fatalf("%s round %d: stats %+v != fresh %+v", solve.name, round, got.Stats, fresh.Stats)
-			}
-			// Dirty the retained matrices, then hand them back: the next
-			// round must still match, proving pooled storage is re-zeroed.
-			got.In.Row(0).SetAll()
-			got.Out.Row(0).SetAll()
-			sc.Release(got.In, got.Out)
+		if !got.In.Equal(fresh.In) || !got.Out.Equal(fresh.Out) {
+			t.Fatalf("round %d: scratch solution differs from fresh", round)
 		}
+		if got.Stats != fresh.Stats {
+			t.Fatalf("round %d: stats %+v != fresh %+v", round, got.Stats, fresh.Stats)
+		}
+		// Dirty the retained matrices, then hand them back: the next
+		// round must still match, proving pooled storage is re-zeroed.
+		got.In.Row(0).SetAll()
+		got.Out.Row(0).SetAll()
+		sc.Release(got.In, got.Out)
 	}
 }
 
@@ -92,8 +87,8 @@ func TestScratchOrderCached(t *testing.T) {
 }
 
 // TestScratchConcurrentSolves: one arena shared by parallel solves over
-// the same graph — the DSAFE/USAFE shape — races nothing (-race is the
-// referee) and every solve still matches the fresh path.
+// the same graph races nothing (-race is the referee) and every solve
+// still matches the fresh path.
 func TestScratchConcurrentSolves(t *testing.T) {
 	g := scratchGraph()
 	const w = 33
@@ -102,21 +97,26 @@ func TestScratchConcurrentSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := NewScratch()
-	var grp conc.Group
-	for k := 0; k < 8; k++ {
-		grp.Go(func() error {
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for k := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			res, err := Solve(g, scratchProblem(g.NumNodes(), w, sc))
 			if err != nil {
-				return err
+				errs[k] = err
+				return
 			}
 			if !res.In.Equal(fresh.In) || !res.Out.Equal(fresh.Out) {
-				return errors.New("concurrent scratch solve diverged")
+				errs[k] = errors.New("concurrent scratch solve diverged")
+				return
 			}
 			sc.Release(res.In, res.Out)
-			return nil
-		})
+		}()
 	}
-	if err := grp.Wait(); err != nil {
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"strings"
 
 	"lazycm/internal/bitvec"
-	"lazycm/internal/conc"
 	"lazycm/internal/dataflow"
 	"lazycm/internal/nodes"
 	"lazycm/internal/props"
@@ -166,14 +165,11 @@ func AnalyzeFuel(g *nodes.Graph, fuel int) (*Analysis, error) {
 // All four data-flow problems and the derived predicates share one
 // dataflow.Scratch (o.Scratch, or a run-private one): the traversal order
 // is computed once per direction and the bit-vector working state is
-// recycled between problems instead of reallocated per analysis. The two
-// problems that depend on nothing but the graph's local predicates —
-// down-safety and up-safety — are solved concurrently; they read only
-// shared immutable inputs (COMP, TRANSP, ¬TRANSP) and write disjoint
-// results, and each still honors o.Fuel and o.Ctx on its own. None of
-// this changes what is computed: every fixpoint is the unique solution
-// of its own monotone system, solved in the same per-problem iteration
-// order as before (see DESIGN.md "Shared analysis scratch").
+// recycled between problems instead of reallocated per analysis. The
+// four problems are solved one after the other, each honoring o.Fuel and
+// o.Ctx on its own. None of this changes what is computed: every
+// fixpoint is the unique solution of its own monotone system (see
+// DESIGN.md "Shared analysis scratch").
 func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 	n := g.NumNodes()
 	w := g.U.Size()
@@ -183,13 +179,6 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 		sc = dataflow.NewScratch()
 	}
 	a := &Analysis{G: g, U: g.U, sc: sc}
-	releaseRes := func(rs ...*dataflow.Result) {
-		for _, r := range rs {
-			if r != nil {
-				sc.Release(r.In, r.Out)
-			}
-		}
-	}
 
 	// Shared kill vector: expressions killed by a node are those with a
 	// redefined operand, i.e. ¬TRANSP.
@@ -213,40 +202,26 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 	// Up-safety: forward, must.
 	//   USAFE(n) = ∏_{m∈pred(n)} ((USAFE(m) ∨ COMP(m)) ∧ TRANSP(m))
 	// with USAFE ≡ false at the entry node.
-	//
-	// The two systems are independent — neither reads the other's
-	// solution — so they solve in parallel over the shared scratch.
-	var dsafeRes, usafeRes *dataflow.Result
-	var grp conc.Group
-	grp.Go(func() error {
-		var err error
-		dsafeRes, err = dataflow.Solve(g, &dataflow.Problem{
-			Name: "dsafe", Dir: dataflow.Backward, Meet: dataflow.Must,
-			Width: w, Gen: g.Comp, Kill: notTransp,
-			Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
-			Strategy: o.Strategy,
-		})
-		return err
+	dsafeRes, err := dataflow.Solve(g, &dataflow.Problem{
+		Name: "dsafe", Dir: dataflow.Backward, Meet: dataflow.Must,
+		Width: w, Gen: g.Comp, Kill: notTransp,
+		Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
 	})
-	grp.Go(func() error {
-		var err error
-		usafeRes, err = dataflow.Solve(g, &dataflow.Problem{
-			Name: "usafe", Dir: dataflow.Forward, Meet: dataflow.Must,
-			Width: w, Gen: usafeGen, Kill: notTransp,
-			Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
-			Strategy: o.Strategy,
-		})
-		return err
-	})
-	if err := grp.Wait(); err != nil {
-		releaseRes(dsafeRes, usafeRes)
+	if err != nil {
 		sc.Release(notTransp, usafeGen)
+		return nil, fmt.Errorf("lcm: %w", err)
+	}
+	usafeRes, err := dataflow.Solve(g, &dataflow.Problem{
+		Name: "usafe", Dir: dataflow.Forward, Meet: dataflow.Must,
+		Width: w, Gen: usafeGen, Kill: notTransp,
+		Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
+	})
+	if err != nil {
+		sc.Release(dsafeRes.In, dsafeRes.Out, notTransp, usafeGen)
 		return nil, fmt.Errorf("lcm: %w", err)
 	}
 	a.DSafe = dsafeRes.In
 	a.USafe = usafeRes.In
-	// Stats keep their documented order (dsafe, usafe, delay, isolated)
-	// regardless of which concurrent solve finished first.
 	a.Stats = append(a.Stats, dsafeRes.Stats, usafeRes.Stats)
 	sc.Release(dsafeRes.Out, usafeRes.Out, usafeGen)
 
@@ -291,7 +266,6 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 		Name: "delay", Dir: dataflow.Forward, Meet: dataflow.Must,
 		Width: w, Gen: delayGen, Kill: g.Comp,
 		Boundary: dataflow.BoundaryEmpty, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
-		Strategy: o.Strategy,
 	})
 	if err != nil {
 		sc.Release(notTransp, delayGen, a.Earliest)
@@ -339,7 +313,6 @@ func AnalyzeOpts(g *nodes.Graph, o Options) (*Analysis, error) {
 		Name: "isolated", Dir: dataflow.Backward, Meet: dataflow.Must,
 		Width: w, Gen: a.Latest, Kill: g.Comp,
 		Boundary: dataflow.BoundaryFull, Fuel: fuel, Ctx: o.Ctx, Scratch: sc,
-		Strategy: o.Strategy,
 	})
 	if err != nil {
 		sc.Release(notTransp)

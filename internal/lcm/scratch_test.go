@@ -11,12 +11,10 @@ import (
 	"lazycm/internal/randprog"
 )
 
-// TestAnalyzeScratchDeterministic proves the tentpole's safety claim at
-// the lcm level: one shared arena reused across many functions — with
-// DSAFE/USAFE solving concurrently inside each analysis — produces
-// bit-identical predicates and identical solver statistics to a fresh,
-// serial-era Analyze per function. Run under -race this also referees
-// the concurrent solves over the shared scratch.
+// TestAnalyzeScratchDeterministic proves the arena's safety claim at the
+// lcm level: one shared arena reused across many functions produces
+// bit-identical predicates and identical solver statistics to a fresh
+// Analyze per function.
 func TestAnalyzeScratchDeterministic(t *testing.T) {
 	sc := dataflow.NewScratch()
 	for seed := int64(1); seed <= 12; seed++ {

@@ -690,7 +690,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// burst recovers its degradation level on the next probe instead of
 	// staying stuck at the level the burst pushed it to.
 	lvl := s.observe()
-	tele := dataflow.Telemetry()
 	status := "ok"
 	code := http.StatusOK
 	if s.draining.Load() {
@@ -742,12 +741,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"quarantine_writable": s.quarantineWritable(),
 		"disk_write_errors":   s.disk().WriteErrors(),
 		"disk_read_errors":    s.disk().ReadErrors(),
-		// Solver-core telemetry (process-wide): slices launched by the
-		// word-parallel strategy and words the sparse worklist skipped.
-		// A soak asserts these advance, proving the fast paths actually
-		// engage under load rather than silently falling back to serial.
-		"solver_parallel_slices": tele.ParallelSlices,
-		"solver_sparse_skips":    tele.SparseSkips,
 	}
 	// Hostile-storage telemetry: per-class fault totals from the vfs
 	// observer, plus the self-quarantining tier's state. disk_disabled
@@ -796,7 +789,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// Like healthz, a readiness probe is also a pressure sample: frequent
 	// polling keeps the ladder descending after a burst.
 	lvl := s.observe()
-	tele := dataflow.Telemetry()
 	ready := !s.draining.Load() && lvl < overload.LevelShed
 	code := http.StatusOK
 	if !ready {
@@ -814,9 +806,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"stream_clients":  s.streamClients.Load(),
 		"fn_cache_hits":   s.cacheHits.Load(),
 		"fn_cache_misses": s.cacheMisses.Load(),
-		// Solver-core telemetry rides along for the gateway's fleet view.
-		"solver_parallel_slices": tele.ParallelSlices,
-		"solver_sparse_skips":    tele.SparseSkips,
 		// Disk-tier health rides along too, so the gateway folds the
 		// hostile-storage state per backend into its fleet summary.
 		"disk_disabled":            s.diskHealth.Disabled(),
