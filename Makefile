@@ -27,9 +27,10 @@ bench:
 
 # Machine-readable benchmark numbers: ns/op and allocs/op per benchmark,
 # written to BENCH_lcm.json (see the Performance section in README.md).
-# The solver-core benchmarks (T4, T4b, SolveScratch) automatically get a
-# second pass at a fixed -core-benchtime so their recorded numbers are
-# multi-iteration averages with honest run counts, not one noisy sample.
+# The core benchmarks (T4, T4b, SolveScratch, ParsePrintRoundTrip/large)
+# automatically get a second pass at a fixed -core-benchtime so their
+# recorded numbers are multi-iteration averages with honest run counts,
+# not one noisy sample.
 # Override BENCHTIME for stabler numbers elsewhere, e.g.
 #   make bench-json BENCHTIME=100x
 BENCHTIME ?= 1x
@@ -37,11 +38,12 @@ bench-json:
 	$(GO) run ./cmd/lcmbench -benchtime $(BENCHTIME) -o BENCH_lcm.json ./...
 
 # Benchmark regression gate: re-measure the T4/T4b solver-cost
-# benchmarks and fail when ns/op regressed more than MAX_REGRESS percent
-# against the committed BENCH_lcm.json. CI runs this on every push; a PR
-# that legitimately trades solver speed for something else overrides the
-# gate by carrying the `bench-delta-override` label (CI skips the step)
-# or locally with e.g.
+# benchmarks and the cold-large parse/print round trip
+# (ParsePrintRoundTrip/large) and fail when ns/op regressed more than
+# MAX_REGRESS percent against the committed BENCH_lcm.json. CI runs this
+# on every push; a PR that legitimately trades solver or printer/parser
+# speed for something else overrides the gate by carrying the
+# `bench-delta-override` label (CI skips the step) or locally with e.g.
 #   make bench-delta MAX_REGRESS=60
 # After an intentional performance change, refresh the baseline with
 # `make bench-json` and commit the new BENCH_lcm.json.

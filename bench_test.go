@@ -8,6 +8,7 @@ import (
 	"lazycm/internal/exp"
 	"lazycm/internal/gcse"
 	"lazycm/internal/graph"
+	"lazycm/internal/ir"
 	"lazycm/internal/lcm"
 	"lazycm/internal/lcmblock"
 	"lazycm/internal/mr"
@@ -15,6 +16,7 @@ import (
 	"lazycm/internal/props"
 	"lazycm/internal/randprog"
 	"lazycm/internal/textir"
+	"lazycm/internal/verify"
 )
 
 // The benchmarks below regenerate every experiment of the reproduction —
@@ -214,16 +216,69 @@ func BenchmarkGCSETransform(b *testing.B) {
 	}
 }
 
+// coldLargeProgram returns the first depth-6 random program whose node
+// count after critical-edge splitting lies near the middle of the served
+// benchmark's cold-large band (256–1536 nodes, about 770 on average).
+func coldLargeProgram() *ir.Function {
+	for seed := int64(1); ; seed++ {
+		cfg := randprog.Default(seed)
+		cfg.MaxDepth = 6
+		f := randprog.Generate(cfg)
+		c := f.Clone()
+		graph.SplitCriticalEdges(c)
+		if n := nodes.Build(c, props.Collect(c)).NumNodes(); 700 <= n && n <= 900 {
+			return f
+		}
+	}
+}
+
+// BenchmarkParsePrintRoundTrip times the text layer a served function
+// crosses twice: parse, then print. "large" is cold-large sized and is
+// gated by bench-delta.
 func BenchmarkParsePrintRoundTrip(b *testing.B) {
-	src := sizedProgram(4)
-	b.SetBytes(int64(len(src)))
+	for _, c := range []struct{ name, src string }{
+		{"depth=4", sizedProgram(4)},
+		{"large", coldLargeProgram().String()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.src)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f, err := textir.ParseFunction(c.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_ = f.String()
+			}
+		})
+	}
+}
+
+// BenchmarkSplitCriticalEdges times edge splitting on a fresh copy of a
+// cold-large function per iteration (the copy is not timed).
+func BenchmarkSplitCriticalEdges(b *testing.B) {
+	f := coldLargeProgram()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f, err := textir.ParseFunction(src)
-		if err != nil {
+		b.StopTimer()
+		c := f.Clone()
+		b.StartTimer()
+		graph.SplitCriticalEdges(c)
+	}
+}
+
+// BenchmarkTempsDefined times the pipeline's post-pass definite-assignment
+// check on the LCM result of a cold-large function.
+func BenchmarkTempsDefined(b *testing.B) {
+	res, err := lcm.Transform(coldLargeProgram(), lcm.LCM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := verify.TempsDefined(res.F, res.TempFor); err != nil {
 			b.Fatal(err)
 		}
-		_ = f.String()
 	}
 }
 

@@ -5,12 +5,13 @@
 // locally, longer benchtimes give stable numbers to diff across
 // commits (see the Performance section in README.md).
 //
-// The solver-core benchmarks (the T4/T4b solver-cost comparison and the
-// scratch-arena isolation) are re-run in a second pass at a fixed higher
-// iteration count, repeated -core-count times with the fastest run kept
-// (noise only ever adds time, so min-of-N is the stable estimator),
-// because a single 1x sample of a multi-millisecond benchmark is too
-// noisy to diff across commits. The JSON records the actual iteration
+// The core benchmarks (the T4/T4b solver-cost comparison, the
+// scratch-arena isolation and the cold-large parse/print round trip) are
+// re-run in a second pass at a fixed higher iteration count, repeated
+// -core-count times with the fastest run kept (noise only ever adds
+// time, so min-of-N is the stable estimator), because a single 1x
+// sample of a multi-millisecond benchmark is too noisy to diff across
+// commits. The JSON records the actual iteration
 // count per benchmark in "runs" — a 1x record honestly says runs:1
 // rather than pretending to be a stable number.
 //
@@ -27,8 +28,9 @@
 //
 //	-bench R          benchmark regex passed to go test (default ".")
 //	-benchtime D      per-benchmark budget passed to go test (default 1x)
-//	-core-bench R     solver-core benchmark regex re-run at -core-benchtime
-//	                  (default T4/T4b/SolveScratch; "" disables the pass)
+//	-core-bench R     core benchmark regex re-run at -core-benchtime (default
+//	                  T4/T4b/SolveScratch/ParsePrintRoundTrip/large; ""
+//	                  disables the pass)
 //	-core-benchtime D fixed budget for the core pass (default 25x)
 //	-core-count N     core pass repetitions, fastest kept (default 3)
 //	-core-pkg P       package the core pass runs in (default ".")
@@ -39,7 +41,7 @@
 //	-baseline FILE    compare fresh results against this BENCH_lcm.json and
 //	                  fail on regression
 //	-delta-bench R    benchmark regex the baseline comparison covers
-//	                  (default: the T4 and T4b solver-cost benchmarks)
+//	                  (default: T4, T4b and ParsePrintRoundTrip/large)
 //	-max-regress P    tolerated ns_per_op regression in percent (default 25)
 //
 // Remaining arguments are the packages to benchmark (default: ./... ).
@@ -83,7 +85,7 @@ type benchFile struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	Benchtime string `json:"benchtime,omitempty"`
-	// CoreBenchtime is the fixed budget the solver-core benchmarks were
+	// CoreBenchtime is the fixed budget the core benchmarks were
 	// re-run at; their "runs" fields reflect it.
 	CoreBenchtime string        `json:"core_benchtime,omitempty"`
 	Generated     string        `json:"generated,omitempty"`
@@ -139,7 +141,7 @@ func parseBench(r io.Reader) ([]benchResult, error) {
 	return out, nil
 }
 
-// coreBenchDefault matches the solver-core benchmarks whose numbers gate
+// coreBenchDefault matches the core benchmarks whose numbers gate
 // the bench-delta step: one 1x sample of these is runs:1 noise, so they
 // get a fixed multi-iteration second pass, repeated -core-count times
 // with the fastest run kept. Benchmark noise is strictly additive
@@ -148,11 +150,17 @@ func parseBench(r io.Reader) ([]benchResult, error) {
 // measurements of the same binary agree far more tightly than two
 // single samples, which is what a ±25% regression gate needs to not
 // cry wolf.
-const coreBenchDefault = `^(BenchmarkT4SolverCost|BenchmarkT4bSolverCostBlockLevel|BenchmarkSolveScratch)$`
+//
+// The pattern is in go test's -bench syntax: top-level alternatives, each
+// split at '/' into one regex per sub-benchmark level, so the last
+// alternative selects only the cold-large-sized parse/print round trip.
+const coreBenchDefault = `^BenchmarkT4SolverCost$|^BenchmarkT4bSolverCostBlockLevel$|^BenchmarkSolveScratch$|^BenchmarkParsePrintRoundTrip$/^large$`
 
 // deltaBenchDefault matches the benchmarks the baseline comparison
-// covers by default: the two solver-cost experiments.
-const deltaBenchDefault = `^(BenchmarkT4SolverCost|BenchmarkT4bSolverCostBlockLevel)$`
+// covers by default: the two solver-cost experiments and the
+// cold-large-sized parse/print round trip. It is a plain regexp over
+// full benchmark names, sub-benchmark path included.
+const deltaBenchDefault = `^(BenchmarkT4SolverCost|BenchmarkT4bSolverCostBlockLevel|BenchmarkParsePrintRoundTrip/large)$`
 
 // runBench shells out to go test -bench and parses the results. count > 1
 // repeats each benchmark (go test -count) and the caller reduces with
@@ -281,9 +289,9 @@ func main() {
 	fs := flag.NewFlagSet("lcmbench", flag.ExitOnError)
 	bench := fs.String("bench", ".", "benchmark regex passed to go test")
 	benchtime := fs.String("benchtime", "1x", "per-benchmark budget passed to go test")
-	coreBench := fs.String("core-bench", coreBenchDefault, "solver-core benchmark regex re-run at -core-benchtime (empty disables)")
-	coreBenchtime := fs.String("core-benchtime", "25x", "fixed budget for the solver-core pass")
-	coreCount := fs.Int("core-count", 3, "solver-core pass repetitions; the fastest run is kept")
+	coreBench := fs.String("core-bench", coreBenchDefault, "core benchmark regex re-run at -core-benchtime (empty disables)")
+	coreBenchtime := fs.String("core-benchtime", "25x", "fixed budget for the core pass")
+	coreCount := fs.Int("core-count", 3, "core pass repetitions; the fastest run is kept")
 	corePkg := fs.String("core-pkg", ".", "package the core pass runs in")
 	out := fs.String("o", "BENCH_lcm.json", "output path")
 	input := fs.String("input", "", "parse an existing go test -bench output file instead of running (\"-\" = stdin)")

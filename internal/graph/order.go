@@ -119,9 +119,11 @@ func CriticalEdges(f *ir.Function) []Edge {
 // so that insertions on an edge never execute on other paths.
 func SplitCriticalEdges(f *ir.Function) int {
 	crit := CriticalEdges(f)
+	used := f.BlockNames()
 	for _, e := range crit {
 		to := e.To()
-		name := f.FreshBlockName(e.From.Name + "." + to.Name + ".split")
+		name := ir.FreshName(used, e.From.Name+"."+to.Name+".split")
+		used[name] = true
 		nb := f.AddBlock(name)
 		nb.Term = ir.Terminator{Kind: ir.Jump, Then: to}
 		e.From.SetSucc(e.Index, nb)

@@ -10,17 +10,25 @@ type Builder struct {
 	fn   *Function
 	cur  *Block
 	errs []error
-	// pending maps a block to its terminator's unresolved target names.
-	pending map[*Block][2]string
-	termSet map[*Block]bool
+	// byName indexes blocks by name (the first block of a name wins, as
+	// with Function.BlockByName), so lookups never scan the block list.
+	byName map[string]*Block
+	// ends[id] is the terminator state of the block with that ID.
+	ends []blockEnd
+}
+
+// blockEnd records whether a block's terminator is set, and the target
+// names Finish resolves.
+type blockEnd struct {
+	set     bool
+	targets [2]string
 }
 
 // NewBuilder starts a function with the given name and parameters.
 func NewBuilder(name string, params ...string) *Builder {
 	return &Builder{
-		fn:      &Function{Name: name, Params: params},
-		pending: make(map[*Block][2]string),
-		termSet: make(map[*Block]bool),
+		fn:     &Function{Name: name, Params: params},
+		byName: make(map[string]*Block),
 	}
 }
 
@@ -32,23 +40,32 @@ func (bd *Builder) errorf(format string, args ...any) {
 // current. Declaring the same name twice is an error unless the block has
 // no terminator yet.
 func (bd *Builder) Block(name string) *Builder {
-	if b := bd.fn.BlockByName(name); b != nil {
-		if bd.termSet[b] {
+	if b := bd.byName[name]; b != nil {
+		if bd.ends[b.ID].set {
 			bd.errorf("block %q declared twice", name)
 		}
 		bd.cur = b
 		return bd
 	}
-	bd.cur = bd.fn.AddBlock(name)
+	bd.cur = bd.addBlock(name)
 	return bd
+}
+
+func (bd *Builder) addBlock(name string) *Block {
+	b := bd.fn.AddBlock(name)
+	bd.ends = append(bd.ends, blockEnd{})
+	if _, taken := bd.byName[name]; !taken {
+		bd.byName[name] = b
+	}
+	return b
 }
 
 func (bd *Builder) need() *Block {
 	if bd.cur == nil {
 		bd.errorf("statement before any block")
-		bd.cur = bd.fn.AddBlock("entry")
+		bd.cur = bd.addBlock("entry")
 	}
-	if bd.termSet[bd.cur] {
+	if bd.ends[bd.cur.ID].set {
 		bd.errorf("statement after terminator in block %q", bd.cur.Name)
 	}
 	return bd.cur
@@ -80,12 +97,11 @@ func (bd *Builder) Nop() *Builder {
 
 func (bd *Builder) setTerm(t Terminator, then, els string) {
 	b := bd.need()
-	if bd.errs != nil && bd.termSet[b] {
+	if bd.errs != nil && bd.ends[b.ID].set {
 		return
 	}
 	b.Term = t
-	bd.pending[b] = [2]string{then, els}
-	bd.termSet[b] = true
+	bd.ends[b.ID] = blockEnd{set: true, targets: [2]string{then, els}}
 	bd.cur = nil
 }
 
@@ -116,18 +132,23 @@ func (bd *Builder) RetVoid() *Builder {
 // Finish resolves targets, recomputes CFG metadata, validates, and returns
 // the function. It returns an error if construction or validation failed.
 func (bd *Builder) Finish() (*Function, error) {
-	for b, tgt := range bd.pending {
+	for _, b := range bd.fn.Blocks {
+		end := bd.ends[b.ID]
+		if !end.set {
+			continue
+		}
+		tgt := end.targets
 		switch b.Term.Kind {
 		case Jump:
-			t := bd.fn.BlockByName(tgt[0])
+			t := bd.byName[tgt[0]]
 			if t == nil {
 				bd.errorf("block %q jumps to undefined block %q", b.Name, tgt[0])
 				continue
 			}
 			b.Term.Then = t
 		case Branch:
-			t := bd.fn.BlockByName(tgt[0])
-			e := bd.fn.BlockByName(tgt[1])
+			t := bd.byName[tgt[0]]
+			e := bd.byName[tgt[1]]
 			if t == nil || e == nil {
 				bd.errorf("block %q branches to undefined block", b.Name)
 				continue
@@ -136,7 +157,7 @@ func (bd *Builder) Finish() (*Function, error) {
 		}
 	}
 	for _, b := range bd.fn.Blocks {
-		if !bd.termSet[b] {
+		if !bd.ends[b.ID].set {
 			bd.errorf("block %q has no terminator", b.Name)
 		}
 	}

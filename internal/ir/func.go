@@ -1,9 +1,8 @@
 package ir
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Function is a procedure: an ordered list of basic blocks. Blocks[0] is
@@ -63,18 +62,29 @@ func (f *Function) AddBlock(name string) *Block {
 }
 
 // FreshBlockName returns a block name with the given prefix that is not yet
-// used in the function.
+// used in the function. It scans every block; a caller naming many blocks
+// builds BlockNames once and calls FreshName instead.
 func (f *Function) FreshBlockName(prefix string) string {
+	return FreshName(f.BlockNames(), prefix)
+}
+
+// BlockNames returns the set of the function's block names.
+func (f *Function) BlockNames() map[string]bool {
 	used := make(map[string]bool, len(f.Blocks))
 	for _, b := range f.Blocks {
 		used[b.Name] = true
 	}
+	return used
+}
+
+// FreshName returns prefix if it is not in used, else prefix followed by
+// the smallest positive integer that makes it so: prefix1, prefix2, ….
+func FreshName(used map[string]bool, prefix string) string {
 	if !used[prefix] {
 		return prefix
 	}
 	for i := 1; ; i++ {
-		n := fmt.Sprintf("%s%d", prefix, i)
-		if !used[n] {
+		if n := prefix + strconv.Itoa(i); !used[n] {
 			return n
 		}
 	}
@@ -103,15 +113,7 @@ func (f *Function) FreshVarName(prefix string) string {
 			used[v] = true
 		}
 	}
-	if !used[prefix] {
-		return prefix
-	}
-	for i := 1; ; i++ {
-		n := fmt.Sprintf("%s%d", prefix, i)
-		if !used[n] {
-			return n
-		}
-	}
+	return FreshName(used, prefix)
 }
 
 // Vars returns every variable the function mentions (params, defs, uses) in
@@ -182,15 +184,44 @@ func (f *Function) Clone() *Function {
 // String renders the function in the textual IR syntax accepted by the
 // textir parser, so printing and parsing round-trip.
 func (f *Function) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "func %s(%s) {\n", f.Name, strings.Join(f.Params, ", "))
-	for _, blk := range f.Blocks {
-		fmt.Fprintf(&b, "%s:\n", blk.Name)
-		for _, in := range blk.Instrs {
-			fmt.Fprintf(&b, "  %s\n", in)
+	return string(f.AppendText(make([]byte, 0, f.textSizeHint())))
+}
+
+// AppendText appends the function's textual form (String's result) to buf
+// and returns it.
+func (f *Function) AppendText(buf []byte) []byte {
+	buf = append(buf, "func "...)
+	buf = append(buf, f.Name...)
+	buf = append(buf, '(')
+	for i, p := range f.Params {
+		if i > 0 {
+			buf = append(buf, ", "...)
 		}
-		fmt.Fprintf(&b, "  %s\n", blk.Term)
+		buf = append(buf, p...)
 	}
-	b.WriteString("}\n")
-	return b.String()
+	buf = append(buf, ") {\n"...)
+	for _, blk := range f.Blocks {
+		buf = append(buf, blk.Name...)
+		buf = append(buf, ":\n"...)
+		for _, in := range blk.Instrs {
+			buf = append(buf, "  "...)
+			buf = append(in.AppendText(buf), '\n')
+		}
+		buf = append(buf, "  "...)
+		buf = append(blk.Term.AppendText(buf), '\n')
+	}
+	return append(buf, "}\n"...)
+}
+
+// textSizeHint estimates the length of the function's text from its shape
+// so String allocates its buffer once in the common case.
+func (f *Function) textSizeHint() int {
+	n := 16 + len(f.Name)
+	for _, p := range f.Params {
+		n += len(p) + 2
+	}
+	for _, b := range f.Blocks {
+		n += 2*len(b.Name) + 16 + 16*len(b.Instrs)
+	}
+	return n
 }

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // InstrKind discriminates the elementary statement forms.
 type InstrKind int
@@ -102,18 +105,32 @@ func (in Instr) UsedVars(dst []string) []string {
 }
 
 // String returns the statement's source form.
-func (in Instr) String() string {
+func (in Instr) String() string { return string(in.AppendText(nil)) }
+
+// AppendText appends the statement's source form to buf and returns it.
+func (in Instr) AppendText(buf []byte) []byte {
 	switch in.Kind {
 	case BinOp:
-		return fmt.Sprintf("%s = %s %s %s", in.Dst, in.A, in.Op, in.B)
+		buf = append(buf, in.Dst...)
+		buf = append(buf, " = "...)
+		buf = in.A.AppendText(buf)
+		buf = append(buf, ' ')
+		buf = in.Op.AppendText(buf)
+		buf = append(buf, ' ')
+		return in.B.AppendText(buf)
 	case Copy:
-		return fmt.Sprintf("%s = %s", in.Dst, in.A)
+		buf = append(buf, in.Dst...)
+		buf = append(buf, " = "...)
+		return in.A.AppendText(buf)
 	case Print:
-		return fmt.Sprintf("print %s", in.A)
+		buf = append(buf, "print "...)
+		return in.A.AppendText(buf)
 	case Nop:
-		return "nop"
+		return append(buf, "nop"...)
 	}
-	return fmt.Sprintf("<invalid instr kind %d>", int(in.Kind))
+	buf = append(buf, "<invalid instr kind "...)
+	buf = strconv.AppendInt(buf, int64(in.Kind), 10)
+	return append(buf, '>')
 }
 
 // TermKind discriminates block terminators.
@@ -153,19 +170,31 @@ func (t Terminator) UsedVars(dst []string) []string {
 }
 
 // String returns the terminator's source form.
-func (t Terminator) String() string {
+func (t Terminator) String() string { return string(t.AppendText(nil)) }
+
+// AppendText appends the terminator's source form to buf and returns it.
+func (t Terminator) AppendText(buf []byte) []byte {
 	switch t.Kind {
 	case Jump:
-		return fmt.Sprintf("jmp %s", blockName(t.Then))
+		buf = append(buf, "jmp "...)
+		return append(buf, blockName(t.Then)...)
 	case Branch:
-		return fmt.Sprintf("br %s %s %s", t.Cond, blockName(t.Then), blockName(t.Else))
+		buf = append(buf, "br "...)
+		buf = t.Cond.AppendText(buf)
+		buf = append(buf, ' ')
+		buf = append(buf, blockName(t.Then)...)
+		buf = append(buf, ' ')
+		return append(buf, blockName(t.Else)...)
 	case Ret:
 		if t.HasVal {
-			return fmt.Sprintf("ret %s", t.Val)
+			buf = append(buf, "ret "...)
+			return t.Val.AppendText(buf)
 		}
-		return "ret"
+		return append(buf, "ret"...)
 	}
-	return fmt.Sprintf("<invalid terminator kind %d>", int(t.Kind))
+	buf = append(buf, "<invalid terminator kind "...)
+	buf = strconv.AppendInt(buf, int64(t.Kind), 10)
+	return append(buf, '>')
 }
 
 func blockName(b *Block) string {

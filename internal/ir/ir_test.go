@@ -350,3 +350,60 @@ func TestTerminatorUsedVars(t *testing.T) {
 		t.Errorf("void ret UsedVars = %v", got)
 	}
 }
+
+// TestBuilderErrorStrings pins the builder's diagnostics word for word,
+// and the name resolution behind them: a statement before any block opens
+// an implicit "entry" block, and the first block of a name is the one
+// later references resolve to.
+func TestBuilderErrorStrings(t *testing.T) {
+	finishErr := func(bd *Builder) string {
+		t.Helper()
+		_, err := bd.Finish()
+		if err == nil {
+			t.Fatal("Finish accepted an invalid function")
+		}
+		return err.Error()
+	}
+	for _, c := range []struct {
+		bd   *Builder
+		want string
+	}{
+		{NewBuilder("f").Block("a").RetVoid().Block("a").RetVoid(),
+			`builder f: block "a" declared twice`},
+		{NewBuilder("f").Block("a").Jump("nowhere"),
+			`builder f: block "a" jumps to undefined block "nowhere"`},
+		{NewBuilder("f").Block("a").Branch(Var("c"), "a", "missing"),
+			`builder f: block "a" branches to undefined block`},
+		{NewBuilder("f").Block("a").Jump("b").Block("b"),
+			`builder f: block "b" has no terminator`},
+		// Unresolved targets are reported in block order.
+		{NewBuilder("f").Block("a").Branch(Var("c"), "b", "c").
+			Block("b").Jump("gone1").Block("c").Jump("gone2"),
+			`builder f: block "b" jumps to undefined block "gone1"`},
+	} {
+		if got := finishErr(c.bd); got != c.want {
+			t.Errorf("error = %q, want %q", got, c.want)
+		}
+	}
+
+	bd := NewBuilder("f")
+	bd.Copy("x", Const(1)).RetVoid()
+	if got, want := finishErr(bd), `builder f: statement before any block`; got != want {
+		t.Errorf("error = %q, want %q", got, want)
+	}
+	if len(bd.fn.Blocks) != 1 || bd.fn.Blocks[0].Name != "entry" || len(bd.fn.Blocks[0].Instrs) != 1 {
+		t.Errorf("implicit block = %s", bd.fn)
+	}
+
+	// A statement after a terminator opens a second "entry" block; the
+	// name still resolves to the first one, which is already terminated.
+	bd = NewBuilder("f").Block("entry").RetVoid()
+	bd.Copy("x", Const(1))
+	bd.Block("entry")
+	if len(bd.errs) != 2 || bd.errs[1].Error() != `builder f: block "entry" declared twice` {
+		t.Errorf("errors = %v", bd.errs)
+	}
+	if len(bd.fn.Blocks) != 2 || bd.cur != bd.fn.Blocks[0] {
+		t.Errorf("entry resolved to the wrong block: %d blocks", len(bd.fn.Blocks))
+	}
+}

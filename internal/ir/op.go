@@ -8,7 +8,10 @@
 // and local computation predicates derived per statement.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Op is a binary operator of a candidate expression.
 type Op int
@@ -37,10 +40,21 @@ var opNames = [...]string{
 
 // String returns the operator's source form, e.g. "+".
 func (o Op) String() string {
-	if o < 0 || int(o) >= len(opNames) {
-		return fmt.Sprintf("op(%d)", int(o))
+	if o.Valid() {
+		return opNames[o]
 	}
-	return opNames[o]
+	return string(o.AppendText(nil))
+}
+
+// AppendText appends the operator's source form (String's result) to buf
+// and returns it.
+func (o Op) AppendText(buf []byte) []byte {
+	if !o.Valid() {
+		buf = append(buf, "op("...)
+		buf = strconv.AppendInt(buf, int64(o), 10)
+		return append(buf, ')')
+	}
+	return append(buf, opNames[o]...)
 }
 
 // Valid reports whether o is a defined operator.

@@ -41,6 +41,14 @@ func (o Operand) String() string {
 	return strconv.FormatInt(o.Value, 10)
 }
 
+// AppendText appends the operand's source form to buf and returns it.
+func (o Operand) AppendText(buf []byte) []byte {
+	if o.IsVar() {
+		return append(buf, o.Name...)
+	}
+	return strconv.AppendInt(buf, o.Value, 10)
+}
+
 // Expr is a candidate expression: a single binary operator applied to two
 // operands. Expressions are identified syntactically (no commutativity or
 // algebraic normalization), following the paper's lexical model. Expr is a

@@ -84,7 +84,10 @@ type Graph struct {
 	// Comp and Transp are the per-node local predicates.
 	Comp, Transp *bitvec.Matrix
 
-	succs, preds [][]int
+	// The adjacency is flat: node n's successors are
+	// succ[succStart[n]:succStart[n+1]], and likewise its predecessors.
+	succStart, succ []int
+	predStart, pred []int
 	// firstOf[blockID] is the block's first node (its first instruction,
 	// or its terminator node if the block is empty). termOf[blockID] is
 	// the block's terminator node.
@@ -96,6 +99,7 @@ type Graph struct {
 // derived from the graph (lcm.Transform does this).
 func Build(f *ir.Function, u *props.Universe) *Graph {
 	g := &Graph{F: f, U: u}
+	g.Nodes = make([]Node, 0, f.NumInstrs()+f.NumBlocks()+2)
 	g.Nodes = append(g.Nodes, Node{Kind: Entry})
 	g.firstOf = make([]int, f.NumBlocks())
 	g.termOf = make([]int, f.NumBlocks())
@@ -109,31 +113,49 @@ func Build(f *ir.Function, u *props.Universe) *Graph {
 	}
 	g.Nodes = append(g.Nodes, Node{Kind: Exit})
 
+	// The edges are enumerated twice, in the same order: once to size
+	// the flat adjacency arrays and once to fill them. That order fixes
+	// every node's successor and predecessor order.
+	edges := func(addEdge func(a, b int)) {
+		addEdge(g.EntryNode(), g.firstOf[f.Entry().ID])
+		for _, b := range f.Blocks {
+			// Chain the block's nodes.
+			first := g.firstOf[b.ID]
+			term := g.termOf[b.ID]
+			for i := first; i < term; i++ {
+				addEdge(i, i+1)
+			}
+			// Terminator to successor blocks' first nodes, or to exit.
+			if b.Term.Kind == ir.Ret {
+				addEdge(term, g.ExitNode())
+				continue
+			}
+			for i, m := 0, b.NumSuccs(); i < m; i++ {
+				addEdge(term, g.firstOf[b.Succ(i).ID])
+			}
+		}
+	}
 	n := len(g.Nodes)
-	g.succs = make([][]int, n)
-	g.preds = make([][]int, n)
-	addEdge := func(a, b int) {
-		g.succs[a] = append(g.succs[a], b)
-		g.preds[b] = append(g.preds[b], a)
+	g.succStart = make([]int, n+1)
+	g.predStart = make([]int, n+1)
+	edges(func(a, b int) {
+		g.succStart[a+1]++
+		g.predStart[b+1]++
+	})
+	for i := 0; i < n; i++ {
+		g.succStart[i+1] += g.succStart[i]
+		g.predStart[i+1] += g.predStart[i]
 	}
-
-	addEdge(g.EntryNode(), g.firstOf[f.Entry().ID])
-	for _, b := range f.Blocks {
-		// Chain the block's nodes.
-		first := g.firstOf[b.ID]
-		term := g.termOf[b.ID]
-		for i := first; i < term; i++ {
-			addEdge(i, i+1)
-		}
-		// Terminator to successor blocks' first nodes, or to exit.
-		if b.Term.Kind == ir.Ret {
-			addEdge(term, g.ExitNode())
-			continue
-		}
-		for i, m := 0, b.NumSuccs(); i < m; i++ {
-			addEdge(term, g.firstOf[b.Succ(i).ID])
-		}
-	}
+	g.succ = make([]int, g.succStart[n])
+	g.pred = make([]int, g.predStart[n])
+	nextSucc := append([]int(nil), g.succStart[:n]...)
+	nextPred := append([]int(nil), g.predStart[:n]...)
+	edges(func(a, b int) {
+		g.succ[nextSucc[a]] = b
+		nextSucc[a]++
+		g.pred[nextPred[b]] = a
+		nextPred[b]++
+	})
 
 	// Local predicates.
 	w := u.Size()
@@ -176,13 +198,13 @@ func (g *Graph) TermOf(b *ir.Block) int { return g.termOf[b.ID] }
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
 
 // NumSuccs implements dataflow.Graph.
-func (g *Graph) NumSuccs(n int) int { return len(g.succs[n]) }
+func (g *Graph) NumSuccs(n int) int { return g.succStart[n+1] - g.succStart[n] }
 
 // Succ implements dataflow.Graph.
-func (g *Graph) Succ(n, i int) int { return g.succs[n][i] }
+func (g *Graph) Succ(n, i int) int { return g.succ[g.succStart[n]+i] }
 
 // NumPreds implements dataflow.Graph.
-func (g *Graph) NumPreds(n int) int { return len(g.preds[n]) }
+func (g *Graph) NumPreds(n int) int { return g.predStart[n+1] - g.predStart[n] }
 
 // Pred implements dataflow.Graph.
-func (g *Graph) Pred(n, i int) int { return g.preds[n][i] }
+func (g *Graph) Pred(n, i int) int { return g.pred[g.predStart[n]+i] }

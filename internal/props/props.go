@@ -20,7 +20,8 @@ import (
 
 // Universe is the ordered set of candidate expressions of one function.
 // Expressions are numbered in first-occurrence order (block order, then
-// statement order), so numbering is deterministic.
+// statement order), so numbering is deterministic. The zero Universe is
+// the empty universe.
 type Universe struct {
 	exprs []ir.Expr
 	index map[ir.Expr]int

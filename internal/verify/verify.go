@@ -117,8 +117,10 @@ func TempsDefined(f *ir.Function, tempFor map[ir.Expr]string) error {
 		index[t] = i
 	}
 
-	u := props.Collect(f)
-	g := nodes.Build(f, u)
+	// Definite assignment reads only the node graph's shape and each
+	// statement's defs and uses, never COMP or TRANSP, so the graph is
+	// built over the empty expression universe.
+	g := nodes.Build(f, &props.Universe{})
 	n := g.NumNodes()
 	w := len(temps)
 	def := bitvec.NewMatrix(n, w)
