@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench bench-json bench-delta serve triage chaos fleet restart-smoke resume-smoke disk-smoke
+.PHONY: check build vet test race loc fuzz bench bench-json bench-delta serve triage chaos fleet restart-smoke resume-smoke disk-smoke
 
 # Tier-1 gate: everything CI and pre-commit must hold.
 check: build vet race
@@ -16,6 +16,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Net source size: non-test Go lines outside perfbench/, the LoC figure
+# each change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -print0 | xargs -0 cat | wc -l
 
 # Short fuzz pass over the parser and the hardened pipeline.
 fuzz:

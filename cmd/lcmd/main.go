@@ -18,9 +18,11 @@
 //	GET  /jobs/{id}        point-in-time job progress snapshot
 //	GET  /jobs/{id}/stream resume a job's stream: replay completed items,
 //	                      follow the rest
-//	GET  /healthz         pool and outcome counters; 503 while draining
-//	GET  /readyz          cheap readiness probe for gateways: 503 while
-//	                      draining or shedding all work (degrade level 3)
+//	GET  /healthz         lcmserver.Stats plus pool and ladder values;
+//	                      503 while draining
+//	GET  /readyz          readiness probe for gateways, with the same
+//	                      Stats: 503 while draining or shedding all
+//	                      work (degrade level 3)
 //
 // Flags:
 //

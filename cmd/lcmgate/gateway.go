@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -78,6 +79,8 @@ const (
 	maxBody = 4 << 20
 	// maxRespBody bounds what the gateway buffers from a backend.
 	maxRespBody = 8 << 20
+	// maxProbeBody bounds what the gateway reads of a /readyz body.
+	maxProbeBody = 4096
 )
 
 func (c Config) withDefaults() Config {
@@ -113,27 +116,11 @@ type backend struct {
 	ready     atomic.Bool
 	degrade   atomic.Int32 // degrade_level from the last readiness probe
 
-	// Job and cache gauges harvested from the backend's last readiness
-	// probe — the fleet view of its resumable-job and per-function-cache
-	// health, surfaced verbatim on the gateway's /healthz.
-	jobsActive    atomic.Int64
-	jobsResumed   atomic.Int64
-	jobsExpired   atomic.Int64
-	streamClients atomic.Int64
-	fnCacheHits   atomic.Int64
-	fnCacheMisses atomic.Int64
-
-	// Hostile-storage state harvested from the probe: whether the
-	// backend has quarantined its disk tier (and is refusing new
-	// journaled jobs), how many times it has flipped, and the per-class
-	// fault totals its health tracker has seen.
-	diskDisabled     atomic.Bool
-	journalDegraded  atomic.Bool
-	diskTransitions  atomic.Int64
-	diskFaultsWrite  atomic.Int64
-	diskFaultsRead   atomic.Int64
-	diskFaultsSync   atomic.Int64
-	diskFaultsRename atomic.Int64
+	// snapshot is the rest of the last decoded /readyz body — the
+	// backend's counters and gauges under their own keys. The gateway
+	// names none of them: it merges the snapshot into the per-backend
+	// /healthz view and folds it into the fleet view generically.
+	snapshot atomic.Pointer[map[string]any]
 
 	// gone closes when the backend leaves the fleet, stopping its
 	// health loop without touching the gateway-wide stop channel.
@@ -884,95 +871,85 @@ func (g *Gateway) probe(b *backend) {
 		return
 	}
 	defer resp.Body.Close()
-	var status struct {
-		Ready            bool  `json:"ready"`
-		DegradeLevel     int   `json:"degrade_level"`
-		JobsActive       int64 `json:"jobs_active"`
-		JobsResumed      int64 `json:"jobs_resumed"`
-		JobsExpired      int64 `json:"jobs_expired"`
-		StreamClients    int64 `json:"stream_clients"`
-		FnCacheHits      int64 `json:"fn_cache_hits"`
-		FnCacheMisses    int64 `json:"fn_cache_misses"`
-		DiskDisabled     bool  `json:"disk_disabled"`
-		DiskTransitions  int64 `json:"disk_disable_transitions"`
-		JournalDegraded  bool  `json:"journal_degraded"`
-		DiskFaultsWrite  int64 `json:"disk_faults_write"`
-		DiskFaultsRead   int64 `json:"disk_faults_read"`
-		DiskFaultsSync   int64 `json:"disk_faults_sync"`
-		DiskFaultsRename int64 `json:"disk_faults_rename"`
-	}
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&status)
 	b.ready.Store(resp.StatusCode == http.StatusOK)
-	b.degrade.Store(int32(status.DegradeLevel))
-	b.jobsActive.Store(status.JobsActive)
-	b.jobsResumed.Store(status.JobsResumed)
-	b.jobsExpired.Store(status.JobsExpired)
-	b.streamClients.Store(status.StreamClients)
-	b.fnCacheHits.Store(status.FnCacheHits)
-	b.fnCacheMisses.Store(status.FnCacheMisses)
-	b.diskDisabled.Store(status.DiskDisabled)
-	b.journalDegraded.Store(status.JournalDegraded)
-	b.diskTransitions.Store(status.DiskTransitions)
-	b.diskFaultsWrite.Store(status.DiskFaultsWrite)
-	b.diskFaultsRead.Store(status.DiskFaultsRead)
-	b.diskFaultsSync.Store(status.DiskFaultsSync)
-	b.diskFaultsRename.Store(status.DiskFaultsRename)
 	b.breaker.Record(true)
-	g.logf("probe backend=%s status=%d ready=%v degrade=%d", b.id, resp.StatusCode, resp.StatusCode == http.StatusOK, status.DegradeLevel)
+	var body map[string]any
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxProbeBody)).Decode(&body); err != nil {
+		// A garbled or truncated body says nothing about the backend's
+		// load: keep routing on the last good degrade level and snapshot
+		// rather than reading the zeros as "full service".
+		g.logf("probe backend=%s status=%d decode_err=%q", b.id, resp.StatusCode, err)
+		return
+	}
+	lvl, _ := body["degrade_level"].(float64)
+	b.degrade.Store(int32(lvl))
+	delete(body, "ready")
+	delete(body, "degrade_level")
+	b.snapshot.Store(&body)
+	g.logf("probe backend=%s status=%d ready=%v degrade=%d", b.id, resp.StatusCode, resp.StatusCode == http.StatusOK, int(lvl))
+}
+
+// foldFleet adds one backend's probe snapshot to the fleet view: every
+// number is summed, and every boolean key k becomes k_backends, the
+// count of backends where it is true (present even at zero). Strings
+// and objects are per-node facts with no fleet meaning and are skipped.
+func foldFleet(fleet map[string]float64, snap map[string]any) {
+	for k, v := range snap {
+		switch v := v.(type) {
+		case float64:
+			fleet[k] += v
+		case bool:
+			n := fleet[k+"_backends"]
+			if v {
+				n++
+			}
+			fleet[k+"_backends"] = n
+		}
+	}
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	g.mu.RLock()
-	bk := make(map[string]any, len(g.ids))
-	// Present even at zero, so a fleet watcher reads "no disk trouble"
-	// rather than "field missing".
-	fleetJobs := map[string]int64{
-		"disk_disabled_backends":    0,
-		"journal_degraded_backends": 0,
+	// zero holds every numeric and boolean key any backend has reported,
+	// at its zero value: a backend whose first probe has not landed yet
+	// still shows the fleet's full key set, and the fleet view carries
+	// every k_backends count even when it is 0.
+	zero := make(map[string]any)
+	snaps := make([]map[string]any, len(g.ids))
+	for i, id := range g.ids {
+		if p := g.backends[id].snapshot.Load(); p != nil {
+			snaps[i] = *p
+		}
+		for k, v := range snaps[i] {
+			switch v.(type) {
+			case float64:
+				zero[k] = 0.0
+			case bool:
+				zero[k] = false
+			}
+		}
 	}
-	for _, id := range g.ids {
+	bk := make(map[string]any, len(g.ids))
+	fleetView := make(map[string]float64)
+	foldFleet(fleetView, zero)
+	for i, id := range g.ids {
 		b := g.backends[id]
-		bk[id] = map[string]any{
-			"breaker":                  b.breaker.State().String(),
-			"breaker_opened":           b.breaker.Opened(),
-			"ready":                    b.ready.Load(),
-			"degrade_level":            b.degrade.Load(),
-			"inflight":                 b.inflight.Load(),
-			"routed":                   b.routed.Load(),
-			"succeeded":                b.succeeded.Load(),
-			"failed":                   b.failed.Load(),
-			"probes":                   b.probes.Load(),
-			"jobs_active":              b.jobsActive.Load(),
-			"jobs_resumed":             b.jobsResumed.Load(),
-			"jobs_expired":             b.jobsExpired.Load(),
-			"stream_clients":           b.streamClients.Load(),
-			"fn_cache_hits":            b.fnCacheHits.Load(),
-			"fn_cache_misses":          b.fnCacheMisses.Load(),
-			"disk_disabled":            b.diskDisabled.Load(),
-			"journal_degraded":         b.journalDegraded.Load(),
-			"disk_disable_transitions": b.diskTransitions.Load(),
-			"disk_faults_write":        b.diskFaultsWrite.Load(),
-			"disk_faults_read":         b.diskFaultsRead.Load(),
-			"disk_faults_sync":         b.diskFaultsSync.Load(),
-			"disk_faults_rename":       b.diskFaultsRename.Load(),
-		}
-		if b.diskDisabled.Load() {
-			fleetJobs["disk_disabled_backends"]++
-		}
-		if b.journalDegraded.Load() {
-			fleetJobs["journal_degraded_backends"]++
-		}
-		fleetJobs["disk_disable_transitions"] += b.diskTransitions.Load()
-		fleetJobs["disk_faults_write"] += b.diskFaultsWrite.Load()
-		fleetJobs["disk_faults_read"] += b.diskFaultsRead.Load()
-		fleetJobs["disk_faults_sync"] += b.diskFaultsSync.Load()
-		fleetJobs["disk_faults_rename"] += b.diskFaultsRename.Load()
-		fleetJobs["jobs_active"] += b.jobsActive.Load()
-		fleetJobs["jobs_resumed"] += b.jobsResumed.Load()
-		fleetJobs["jobs_expired"] += b.jobsExpired.Load()
-		fleetJobs["stream_clients"] += b.streamClients.Load()
-		fleetJobs["fn_cache_hits"] += b.fnCacheHits.Load()
-		fleetJobs["fn_cache_misses"] += b.fnCacheMisses.Load()
+		view := maps.Clone(zero)
+		maps.Copy(view, snaps[i])
+		foldFleet(fleetView, snaps[i])
+		// The gateway's own view of the backend wins over same-named
+		// snapshot keys: inflight here is what this gateway has routed
+		// there and not yet seen answered.
+		view["breaker"] = b.breaker.State().String()
+		view["breaker_opened"] = b.breaker.Opened()
+		view["ready"] = b.ready.Load()
+		view["degrade_level"] = b.degrade.Load()
+		view["inflight"] = b.inflight.Load()
+		view["routed"] = b.routed.Load()
+		view["succeeded"] = b.succeeded.Load()
+		view["failed"] = b.failed.Load()
+		view["probes"] = b.probes.Load()
+		bk[id] = view
 	}
 	draining := make([]string, 0, len(g.draining))
 	for id := range g.draining {
@@ -985,7 +962,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"start_time":          g.start.UTC().Format(time.RFC3339Nano),
 		"uptime_ms":           time.Since(g.start).Milliseconds(),
 		"backends":            bk,
-		"fleet":               fleetJobs,
+		"fleet":               fleetView,
 		"draining":            draining,
 		"reloads":             g.reloads.Load(),
 		"received":            g.received.Load(),

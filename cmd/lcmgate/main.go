@@ -14,7 +14,8 @@
 //	                        lives only on the backend that admitted it)
 //	GET  /jobs/{id}/stream — unbuffered resume stream, same 404 walk
 //	GET  /healthz         — gateway + per-backend routing statistics,
-//	                        including per-backend job and fn-cache gauges
+//	                        each backend's last /readyz counters, and
+//	                        their fleet-wide fold
 //	GET  /readyz          — 200 while at least one backend is admittable
 //	POST /admin/reload    — swap the backend set: {"backends": [...]}
 //

@@ -97,7 +97,7 @@ func frame(t *testing.T, recs []gateRecord) (gateRecord, []gateRecord, gateRecor
 // ring owner, the job then found by ID via the replica walk (the gateway
 // cannot know which backend admitted it), its stream replayed, and the
 // whole exchange visible in the gateway's healthz — streams_proxied plus
-// the per-backend and fleet job/fn-cache gauges fed by /readyz probes.
+// the per-backend and fleet job/cache counters fed by /readyz probes.
 func TestGatewayStreamProxyEndToEnd(t *testing.T) {
 	_, nodes, gts := newFleet(t, 3, Config{HealthInterval: 20 * time.Millisecond})
 	body := optBody(t, diamond)
@@ -181,7 +181,7 @@ func TestGatewayStreamProxyEndToEnd(t *testing.T) {
 	}
 	waitFor(t, func() bool {
 		fleet, _ := healthz()["fleet"].(map[string]any)
-		miss, _ := fleet["fn_cache_misses"].(float64)
+		miss, _ := fleet["cache_misses"].(float64)
 		return miss >= 1
 	})
 	h := healthz()
@@ -194,7 +194,7 @@ func TestGatewayStreamProxyEndToEnd(t *testing.T) {
 			t.Fatalf("backend %s missing from healthz", n.ts.URL)
 		}
 		for _, k := range []string{"jobs_active", "jobs_resumed", "jobs_expired", "stream_clients",
-			"fn_cache_hits", "fn_cache_misses"} {
+			"cache_hits", "cache_misses"} {
 			if _, ok := b[k]; !ok {
 				t.Errorf("backend %s healthz entry missing %q", n.ts.URL, k)
 			}

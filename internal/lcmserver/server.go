@@ -235,29 +235,16 @@ type Server struct {
 	jobsWG     sync.WaitGroup
 
 	draining    atomic.Bool
-	queued      atomic.Int64
-	inflight    atomic.Int64
 	lastRetryMS atomic.Int64 // last Retry-After hint issued, for /healthz
 
-	requests     atomic.Int64 // admitted work items (a batch item counts like a request)
-	optimized    atomic.Int64 // clean 200s
-	fellBack     atomic.Int64 // 200s that shipped a fallback
-	canceled     atomic.Int64 // deadline/cancel results
-	invalid      atomic.Int64 // parse or validation rejections
-	shed         atomic.Int64 // work items shed by admission control
-	panics       atomic.Int64 // contained pass/driver panics
-	quarantined  atomic.Int64 // distinct crashers captured (duplicates collapse)
-	cacheHits    atomic.Int64 // results replayed from the content cache (memory or disk)
-	cacheMisses  atomic.Int64 // lookups that ran the pipeline
-	cacheCorrupt atomic.Int64 // in-memory cache reads failing the integrity checksum
-	peerHits     atomic.Int64 // local misses served by a fleet peer's cache
-	peerMisses   atomic.Int64 // peer consults that found nothing usable
-	peerServed   atomic.Int64 // GET /cache hits served to fleet peers
-
-	jobsActive    atomic.Int64 // gauge: job runner generations in flight
-	jobsResumed   atomic.Int64 // unfinished journaled jobs re-admitted at boot
-	jobsExpired   atomic.Int64 // journals expired (TTL) or dropped (undecodable) at boot
-	streamClients atomic.Int64 // gauge: NDJSON followers currently connected
+	// The counters and gauges Stats snapshots, each documented on its
+	// Stats field.
+	queued, inflight                                    atomic.Int64
+	requests, optimized, fellBack, canceled, invalid    atomic.Int64
+	shed, panics, quarantined                           atomic.Int64
+	cacheHits, cacheMisses, cacheCorrupt                atomic.Int64
+	peerHits, peerMisses, peerServed                    atomic.Int64
+	jobsActive, jobsResumed, jobsExpired, streamClients atomic.Int64
 }
 
 // NewServer builds the service and starts its worker pool.
@@ -685,6 +672,26 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// health is the /healthz body: Stats, inlined, plus the node-local
+// values that stay out of the fleet fold — identity, configuration, the
+// ladder's level and its rates.
+type health struct {
+	Status        string `json:"status"`
+	Workers       int    `json:"workers"`
+	QueueCapacity int    `json:"queue_capacity"`
+	// StartTime + UptimeMS together let an operator (or a soak)
+	// distinguish a warm restart from a long-running process: a young
+	// uptime with a populated disk tier is a warm boot.
+	StartTime          string            `json:"start_time"`
+	UptimeMS           int64             `json:"uptime_ms"`
+	DegradeLevel       int               `json:"degrade_level"`
+	RetryAfterMS       int64             `json:"retry_after_ms"`
+	LatencyEWMAMS      int64             `json:"latency_ewma_ms"`
+	QuarantineWritable bool              `json:"quarantine_writable"`
+	Peers              map[string]string `json:"peers,omitempty"`
+	Stats
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// A health probe is also a pressure sample: a server left idle after a
 	// burst recovers its degradation level on the next probe instead of
@@ -696,95 +703,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	body := map[string]any{
-		"status":         status,
-		"workers":        s.cfg.Workers,
-		"queue_capacity": s.cfg.Queue,
-		"queue_depth":    s.queued.Load(),
-		"inflight":       s.inflight.Load(),
-		// start_time + uptime_ms together let an operator (or a soak)
-		// distinguish a warm restart from a long-running process: a young
-		// uptime with a populated disk tier is a warm boot.
-		"start_time":   s.start.UTC().Format(time.RFC3339Nano),
-		"uptime_ms":    time.Since(s.start).Milliseconds(),
-		"requests":     s.requests.Load(),
-		"optimized":    s.optimized.Load(),
-		"fell_back":    s.fellBack.Load(),
-		"canceled":     s.canceled.Load(),
-		"invalid":      s.invalid.Load(),
-		"shed":         s.shed.Load(),
-		"panics":       s.panics.Load(),
-		"quarantined":  s.quarantined.Load(),
-		"cache_hits":   s.cacheHits.Load(),
-		"cache_misses": s.cacheMisses.Load(),
-		// fn_cache_* are the function-granular aliases: the cache is keyed
-		// per function, so hits/misses count functions, not requests.
-		"fn_cache_hits":       s.cacheHits.Load(),
-		"fn_cache_misses":     s.cacheMisses.Load(),
-		"jobs_active":         s.jobsActive.Load(),
-		"jobs_resumed":        s.jobsResumed.Load(),
-		"jobs_expired":        s.jobsExpired.Load(),
-		"stream_clients":      s.streamClients.Load(),
-		"cache_entries":       s.cache.len(),
-		"cache_corrupt":       s.cacheCorrupt.Load(),
-		"disk_entries":        s.disk().Len(),
-		"disk_bytes":          s.disk().Bytes(),
-		"disk_hits":           s.diskHits(),
-		"corrupt_dropped":     s.disk().CorruptDropped(),
-		"peer_hits":           s.peerHits.Load(),
-		"peer_misses":         s.peerMisses.Load(),
-		"peer_served":         s.peerServed.Load(),
-		"degrade_level":       int(lvl),
-		"degrade_transitions": s.ladder.Transitions(),
-		"retry_after_ms":      s.lastRetryMS.Load(),
-		"latency_ewma_ms":     s.gauge.EWMA().Milliseconds(),
-		"quarantine_writable": s.quarantineWritable(),
-		"disk_write_errors":   s.disk().WriteErrors(),
-		"disk_read_errors":    s.disk().ReadErrors(),
-	}
-	// Hostile-storage telemetry: per-class fault totals from the vfs
-	// observer, plus the self-quarantining tier's state. disk_disabled
-	// true means the disk cache is bypassed (memory + peers + compute
-	// still serve) and journal_degraded means new ?job= submissions are
-	// refused with a structured 503 until the background probe
-	// re-enables the tier.
-	fw, fr, fsy, frn := s.diskHealth.Faults()
-	body["disk_faults_write"] = fw
-	body["disk_faults_read"] = fr
-	body["disk_faults_sync"] = fsy
-	body["disk_faults_rename"] = frn
-	body["disk_disabled"] = s.diskHealth.Disabled()
-	body["disk_disable_transitions"] = s.diskHealth.Transitions()
-	body["journal_degraded"] = s.journalDegraded()
-	if ps := s.peers.states(); ps != nil {
-		body["peers"] = ps
-	}
-	writeJSON(w, code, body)
+	writeJSON(w, code, health{
+		Status:             status,
+		Workers:            s.cfg.Workers,
+		QueueCapacity:      s.cfg.Queue,
+		StartTime:          s.start.UTC().Format(time.RFC3339Nano),
+		UptimeMS:           time.Since(s.start).Milliseconds(),
+		DegradeLevel:       int(lvl),
+		RetryAfterMS:       s.lastRetryMS.Load(),
+		LatencyEWMAMS:      s.gauge.EWMA().Milliseconds(),
+		QuarantineWritable: s.quarantineWritable(),
+		Peers:              s.peers.states(),
+		Stats:              s.Stats(),
+	})
 }
 
-// disk returns the durable cache tier, possibly nil (every cachestore
-// method is nil-safe, reporting zero).
-func (s *Server) disk() *cachestore.Store {
-	if s.cache == nil {
-		return nil
-	}
-	return s.cache.disk
-}
-
-// diskHits reports memory misses the durable tier served.
-func (s *Server) diskHits() int64 {
-	if s.cache == nil {
-		return 0
-	}
-	return s.cache.diskHits.Load()
-}
-
-// handleReadyz is the cheap readiness probe: 503 while draining or
-// while the degradation ladder is shedding all new work (level 3), 200
-// otherwise. A gateway polls this instead of parsing the full healthz
-// body; the tiny JSON payload still carries the degrade level so the
-// poller can bias routing away from a degraded-but-alive backend
-// without a second request.
+// handleReadyz is the readiness probe: 503 while draining or while the
+// degradation ladder is shedding all new work (level 3), 200 otherwise.
+// A gateway polls this instead of /healthz; the body carries the degrade
+// level so the poller can bias routing away from a degraded-but-alive
+// backend, plus the full Stats so it can fold the fleet view without a
+// second request.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	// Like healthz, a readiness probe is also a pressure sample: frequent
 	// polling keeps the ladder descending after a burst.
@@ -794,90 +733,119 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
-		"ready":         ready,
-		"draining":      s.draining.Load(),
-		"degrade_level": int(lvl),
-		// The job/stream gauges ride on the probe so a gateway can fold
-		// them into its fleet healthz view without a second request.
-		"jobs_active":     s.jobsActive.Load(),
-		"jobs_resumed":    s.jobsResumed.Load(),
-		"jobs_expired":    s.jobsExpired.Load(),
-		"stream_clients":  s.streamClients.Load(),
-		"fn_cache_hits":   s.cacheHits.Load(),
-		"fn_cache_misses": s.cacheMisses.Load(),
-		// Disk-tier health rides along too, so the gateway folds the
-		// hostile-storage state per backend into its fleet summary.
-		"disk_disabled":            s.diskHealth.Disabled(),
-		"disk_disable_transitions": s.diskHealth.Transitions(),
-		"journal_degraded":         s.journalDegraded(),
-		"disk_faults_write":        diskFaultAt(s, vfs.ClassWrite),
-		"disk_faults_read":         diskFaultAt(s, vfs.ClassRead),
-		"disk_faults_sync":         diskFaultAt(s, vfs.ClassSync),
-		"disk_faults_rename":       diskFaultAt(s, vfs.ClassRename),
-	})
+	writeJSON(w, code, struct {
+		Ready        bool `json:"ready"`
+		Draining     bool `json:"draining"`
+		DegradeLevel int  `json:"degrade_level"`
+		Stats
+	}{ready, s.draining.Load(), int(lvl), s.Stats()})
 }
 
-// diskFaultAt reads one per-class fault total for the probes.
-func diskFaultAt(s *Server, c vfs.Class) int64 {
-	return s.diskHealth.classFaults[c].Load()
-}
-
-// Stats is a point-in-time snapshot of the server's accounting
-// counters, exported so an embedding test (the fleet soak) can audit
-// the single-node invariants — outcome buckets summing exactly to
-// admissions, the queue drained to zero — across every backend of a
-// fleet.
+// Stats is a point-in-time snapshot of the server's counters and
+// gauges: the one declaration behind /healthz, /readyz and the
+// gateway's per-backend and fleet views. Each JSON tag is the key all
+// of those surfaces serve. Only values whose fleet-wide sum means
+// something belong here (a gateway sums numbers and counts true
+// booleans); levels, rates and EWMAs stay in the /healthz envelope.
+// Embedding tests (the fleet soak) audit the single-node invariants
+// from it directly — outcome buckets summing exactly to admissions, the
+// queue drained to zero — across every backend of a fleet.
 type Stats struct {
-	Requests     int64
-	Optimized    int64
-	FellBack     int64
-	Canceled     int64
-	Invalid      int64
-	Shed         int64
-	Panics       int64
-	Quarantined  int64
-	CacheHits    int64
-	CacheMisses  int64
-	CacheCorrupt int64
-	DiskEntries  int64
-	DiskBytes    int64
-	DiskHits     int64
+	Requests     int64 `json:"requests"`      // admitted work items (a batch item counts like a request)
+	Optimized    int64 `json:"optimized"`     // clean 200s
+	FellBack     int64 `json:"fell_back"`     // 200s that shipped a fallback
+	Canceled     int64 `json:"canceled"`      // deadline/cancel results
+	Invalid      int64 `json:"invalid"`       // parse or validation rejections
+	Shed         int64 `json:"shed"`          // work items shed by admission control
+	Panics       int64 `json:"panics"`        // contained pass/driver panics
+	Quarantined  int64 `json:"quarantined"`   // distinct crashers captured (duplicates collapse)
+	Queued       int64 `json:"queue_depth"`   // gauge: admitted, waiting for a worker
+	Inflight     int64 `json:"inflight"`      // gauge: on a worker now
+	CacheEntries int64 `json:"cache_entries"` // gauge: in-memory result cache size
+	// The result cache is keyed per function, so hits (memory or disk)
+	// and misses (lookups that ran the pipeline) count functions, not
+	// requests.
+	CacheHits    int64 `json:"cache_hits"`
+	CacheMisses  int64 `json:"cache_misses"`
+	CacheCorrupt int64 `json:"cache_corrupt"` // in-memory reads failing the integrity checksum
+	DiskEntries  int64 `json:"disk_entries"`
+	DiskBytes    int64 `json:"disk_bytes"`
+	DiskHits     int64 `json:"disk_hits"`
 	// CorruptDropped counts durable-tier entries dropped by integrity
 	// verification — detected disk rot, never served. DiskWriteErrors
 	// and DiskReadErrors are the distinct IO-failure signals (the disk
 	// refusing bytes, not lying about them).
-	CorruptDropped  int64
-	DiskWriteErrors int64
-	DiskReadErrors  int64
-	PeerHits        int64
-	PeerMisses      int64
-	PeerServed      int64
-	JobsActive      int64
-	JobsResumed     int64
-	JobsExpired     int64
-	StreamClients   int64
-	Queued          int64
-	Inflight        int64
+	CorruptDropped  int64 `json:"corrupt_dropped"`
+	DiskWriteErrors int64 `json:"disk_write_errors"`
+	DiskReadErrors  int64 `json:"disk_read_errors"`
+	PeerHits        int64 `json:"peer_hits"`      // local misses served by a fleet peer's cache
+	PeerMisses      int64 `json:"peer_misses"`    // peer consults that found nothing usable
+	PeerServed      int64 `json:"peer_served"`    // GET /cache hits served to fleet peers
+	JobsActive      int64 `json:"jobs_active"`    // gauge: job runner generations in flight
+	JobsResumed     int64 `json:"jobs_resumed"`   // unfinished journaled jobs re-admitted at boot
+	JobsExpired     int64 `json:"jobs_expired"`   // journals expired (TTL) or dropped (undecodable) at boot
+	StreamClients   int64 `json:"stream_clients"` // gauge: NDJSON followers connected
+
+	DegradeTransitions int64 `json:"degrade_transitions"` // degradation ladder level changes
 
 	// Hostile-storage health: per-class fault totals seen by the vfs
-	// observer and the self-quarantining tier's state.
-	DiskFaultsWrite        int64
-	DiskFaultsRead         int64
-	DiskFaultsSync         int64
-	DiskFaultsRename       int64
-	DiskDisabled           bool
-	DiskDisableTransitions int64
-	JournalDegraded        bool
+	// observer and the self-quarantining tier's state. DiskDisabled
+	// means the disk cache is bypassed (memory + peers + compute still
+	// serve); JournalDegraded means new ?job= submissions are refused
+	// with a structured 503 until the background probe re-enables the
+	// tier.
+	DiskFaultsWrite        int64 `json:"disk_faults_write"`
+	DiskFaultsRead         int64 `json:"disk_faults_read"`
+	DiskFaultsSync         int64 `json:"disk_faults_sync"`
+	DiskFaultsRename       int64 `json:"disk_faults_rename"`
+	DiskDisabled           bool  `json:"disk_disabled"`
+	DiskDisableTransitions int64 `json:"disk_disable_transitions"`
+	JournalDegraded        bool  `json:"journal_degraded"`
 }
 
-// Stats snapshots the accounting counters. The snapshot is not atomic
+// Stats snapshots the counters and gauges. The snapshot is not atomic
 // across counters; audit it only on a drained server.
 func (s *Server) Stats() Stats {
 	fw, fr, fsy, frn := s.diskHealth.Faults()
+	// The durable tier may be absent; every cachestore method is
+	// nil-safe, reporting zero.
+	var disk *cachestore.Store
+	var diskHits int64
+	if s.cache != nil {
+		disk, diskHits = s.cache.disk, s.cache.diskHits.Load()
+	}
 	return Stats{
-		DiskWriteErrors:        s.disk().WriteErrors(),
-		DiskReadErrors:         s.disk().ReadErrors(),
+		Requests:     s.requests.Load(),
+		Optimized:    s.optimized.Load(),
+		FellBack:     s.fellBack.Load(),
+		Canceled:     s.canceled.Load(),
+		Invalid:      s.invalid.Load(),
+		Shed:         s.shed.Load(),
+		Panics:       s.panics.Load(),
+		Quarantined:  s.quarantined.Load(),
+		Queued:       s.queued.Load(),
+		Inflight:     s.inflight.Load(),
+		CacheEntries: int64(s.cache.len()),
+
+		CacheHits:       s.cacheHits.Load(),
+		CacheMisses:     s.cacheMisses.Load(),
+		CacheCorrupt:    s.cacheCorrupt.Load(),
+		DiskEntries:     int64(disk.Len()),
+		DiskBytes:       disk.Bytes(),
+		DiskHits:        diskHits,
+		CorruptDropped:  disk.CorruptDropped(),
+		DiskWriteErrors: disk.WriteErrors(),
+		DiskReadErrors:  disk.ReadErrors(),
+		PeerHits:        s.peerHits.Load(),
+		PeerMisses:      s.peerMisses.Load(),
+		PeerServed:      s.peerServed.Load(),
+		JobsActive:      s.jobsActive.Load(),
+		JobsResumed:     s.jobsResumed.Load(),
+		JobsExpired:     s.jobsExpired.Load(),
+		StreamClients:   s.streamClients.Load(),
+
+		DegradeTransitions: s.ladder.Transitions(),
+
 		DiskFaultsWrite:        fw,
 		DiskFaultsRead:         fr,
 		DiskFaultsSync:         fsy,
@@ -885,52 +853,31 @@ func (s *Server) Stats() Stats {
 		DiskDisabled:           s.diskHealth.Disabled(),
 		DiskDisableTransitions: s.diskHealth.Transitions(),
 		JournalDegraded:        s.journalDegraded(),
-
-		Requests:       s.requests.Load(),
-		Optimized:      s.optimized.Load(),
-		FellBack:       s.fellBack.Load(),
-		Canceled:       s.canceled.Load(),
-		Invalid:        s.invalid.Load(),
-		Shed:           s.shed.Load(),
-		Panics:         s.panics.Load(),
-		Quarantined:    s.quarantined.Load(),
-		CacheHits:      s.cacheHits.Load(),
-		CacheMisses:    s.cacheMisses.Load(),
-		CacheCorrupt:   s.cacheCorrupt.Load(),
-		DiskEntries:    int64(s.disk().Len()),
-		DiskBytes:      s.disk().Bytes(),
-		DiskHits:       s.diskHits(),
-		CorruptDropped: s.disk().CorruptDropped(),
-		PeerHits:       s.peerHits.Load(),
-		PeerMisses:     s.peerMisses.Load(),
-		PeerServed:     s.peerServed.Load(),
-		JobsActive:     s.jobsActive.Load(),
-		JobsResumed:    s.jobsResumed.Load(),
-		JobsExpired:    s.jobsExpired.Load(),
-		StreamClients:  s.streamClients.Load(),
-		Queued:         s.queued.Load(),
-		Inflight:       s.inflight.Load(),
 	}
 }
 
 // quarantineWritable probes whether crasher capture can actually land on
 // disk: the directory exists (or can be created) and a file can be
 // created in it. A server that silently cannot quarantine is losing its
-// regression seeds; /healthz is where that should surface.
+// regression seeds; /healthz is where that should surface. The probe
+// runs on rawFS, like diskProbe: it keeps the IO deadline and any
+// injected faults, but health polls never feed the disk-health fault
+// window — otherwise polling alone could quarantine (or, on a healthy
+// disk, dilute) the tier.
 func (s *Server) quarantineWritable() bool {
 	if s.cfg.Quarantine == "" {
 		return false
 	}
-	if err := s.fs.MkdirAll(s.cfg.Quarantine, 0o755); err != nil {
+	if err := s.rawFS.MkdirAll(s.cfg.Quarantine, 0o755); err != nil {
 		return false
 	}
-	f, err := s.fs.CreateTemp(s.cfg.Quarantine, ".probe-*")
+	f, err := s.rawFS.CreateTemp(s.cfg.Quarantine, ".probe-*")
 	if err != nil {
 		return false
 	}
 	name := f.Name()
 	f.Close()
-	s.fs.Remove(name)
+	s.rawFS.Remove(name)
 	return true
 }
 
